@@ -80,16 +80,16 @@ fn usage() -> ! {
          \x20                               report\n\
          \x20 repo --dir DIR [--verify|--stats|--compact] [--fill N] [--shards S]\n\
          \x20                               inspect or maintain a durable\n\
-         \x20                               credential repository (sharded\n\
-         \x20                               layouts are auto-detected):\n\
+         \x20                               credential repository directory:\n\
          \x20                               --verify checks every segment's\n\
          \x20                               snapshot+log integrity (exit 1 on\n\
          \x20                               torn/corrupt bytes), --stats\n\
          \x20                               prints per-shard sizes and replay\n\
          \x20                               counts, --compact snapshots and\n\
-         \x20                               truncates the log(s), --fill seeds\n\
-         \x20                               N synthetic records (with --shards\n\
-         \x20                               S into a sharded layout)\n\
+         \x20                               truncates the logs, --fill seeds\n\
+         \x20                               N synthetic records (a new\n\
+         \x20                               directory gets --shards S shards,\n\
+         \x20                               default {})\n\
          \x20 cert --emit <user> <Entity.Role> [--out PATH] [--json]\n\
          \x20                               prove and emit a proof-carrying\n\
          \x20                               authorization certificate (digest,\n\
@@ -136,7 +136,8 @@ fn usage() -> ! {
          \x20 --audit-out PATH              write the JSONL audit trail on exit\n\
          \x20 --audit-fsync                 fsync the audit trail before close\n\
          \x20                               (crash-durable, pairs with the WAL)\n\
-         \x20 --quiet | -q                  suppress stdout narration"
+         \x20 --quiet | -q                  suppress stdout narration",
+        psf_drbac::DEFAULT_SHARD_COUNT
     );
     std::process::exit(2);
 }
@@ -1036,87 +1037,23 @@ fn chaos(cli: &Cli, args: &[String]) -> i32 {
     }
 
     // Phase 9 — kill -9 at a random WAL byte offset: run a seeded
-    // publish/revoke workload against a durable repository, cut the log
-    // mid-record, recover, and require authorization decisions identical
-    // to an oracle built from the surviving records.
-    {
-        let dir = wal_root.join("torn");
-        let _ = std::fs::remove_dir_all(&dir);
-        match wal_workload(&dir, seed) {
-            Ok((domains, user)) => {
-                let log = dir.join(psf_drbac::wal::LOG_FILE);
-                let len = std::fs::metadata(&log).map(|m| m.len()).unwrap_or(0);
-                let (ok, detail) = if len < 2 {
-                    (false, "workload wrote no log".to_string())
-                } else {
-                    let cut = 1 + mix64(seed ^ 0x7a11) % (len - 1);
-                    let torn = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(&log)
-                        .and_then(|f| f.set_len(cut));
-                    match torn {
-                        Ok(()) => {
-                            let (ok, d) = wal_check(&dir, &domains, &user);
-                            (ok, format!("cut at byte {cut}/{len}; {d}"))
-                        }
-                        Err(e) => (false, format!("cannot tear log: {e}")),
-                    }
-                };
-                phase("wal-torn-tail", ok, detail, &mut failures);
-            }
-            Err(e) => phase(
-                "wal-torn-tail",
-                false,
-                format!("workload: {e}"),
-                &mut failures,
-            ),
-        }
-    }
+    // publish/revoke workload against a one-shard durable directory, cut
+    // a seeded choice of its shard or bus segment mid-record, recover, and
+    // require authorization decisions identical to an oracle built from
+    // the surviving records.
+    let (ok, detail) = wal_crash_phase(&wal_root.join("torn"), seed, |dir| {
+        tear_one_segment(dir, seed)
+    });
+    phase("wal-torn-tail", ok, detail, &mut failures);
 
     // Phase 10 — bit rot inside a committed record: flip one payload byte
-    // of a seeded-chosen record, then recover and compare against the
-    // oracle built from the records before the corruption.
-    {
-        let dir = wal_root.join("corrupt");
-        let _ = std::fs::remove_dir_all(&dir);
-        match wal_workload(&dir, seed ^ 0xbadc0de) {
-            Ok((domains, user)) => {
-                let log = dir.join(psf_drbac::wal::LOG_FILE);
-                let (ok, detail) = match std::fs::read(&log) {
-                    Ok(mut image) => {
-                        let scan = psf_drbac::wal::scan_log(&image);
-                        if scan.records.is_empty() {
-                            (false, "workload wrote no records".to_string())
-                        } else {
-                            let r = (mix64(seed ^ 0xc0de) as usize) % scan.records.len();
-                            // +8 skips the frame header: the flip lands in
-                            // the CRC-covered payload.
-                            let off = scan.records[r].offset as usize + 8;
-                            image[off] ^= 0xff;
-                            match std::fs::write(&log, &image) {
-                                Ok(()) => {
-                                    let (ok, d) = wal_check(&dir, &domains, &user);
-                                    (
-                                        ok,
-                                        format!("corrupted record {r}/{}; {d}", scan.records.len()),
-                                    )
-                                }
-                                Err(e) => (false, format!("cannot corrupt log: {e}")),
-                            }
-                        }
-                    }
-                    Err(e) => (false, format!("read log: {e}")),
-                };
-                phase("wal-corrupt-record", ok, detail, &mut failures);
-            }
-            Err(e) => phase(
-                "wal-corrupt-record",
-                false,
-                format!("workload: {e}"),
-                &mut failures,
-            ),
-        }
-    }
+    // of a seeded-chosen record of a one-shard directory (shard or bus
+    // segment), then recover and compare against the oracle built from
+    // the records before the corruption.
+    let (ok, detail) = wal_crash_phase(&wal_root.join("corrupt"), seed ^ 0xbadc0de, |dir| {
+        corrupt_one_record(dir, seed)
+    });
+    phase("wal-corrupt-record", ok, detail, &mut failures);
 
     // Phase 11 — torn shard segment: run the workload against a SHARDED
     // durable directory, cut one shard's WAL mid-record, and require
@@ -1125,7 +1062,7 @@ fn chaos(cli: &Cli, args: &[String]) -> i32 {
     {
         let dir = wal_root.join("sharded-torn");
         let _ = std::fs::remove_dir_all(&dir);
-        match sharded_wal_workload(&dir, seed ^ 0x5aa5) {
+        match sharded_wal_workload(&dir, 8, seed ^ 0x5aa5) {
             Ok((domains, user)) => {
                 // Pick the first shard whose log is big enough to cut.
                 let mut victim = None;
@@ -1197,159 +1134,20 @@ fn chaos(cli: &Cli, args: &[String]) -> i32 {
     }
 }
 
-/// Seeded publish/revoke workload against a fresh durable repository at
-/// `dir`: twelve self-certifying `CDi.R → ChaosUser` credentials, a third
-/// of them revoked. Returns the entities so callers can re-derive the
-/// authorization queries after a crash.
-fn wal_workload(
-    dir: &std::path::Path,
-    seed: u64,
-) -> std::io::Result<(Vec<psf_drbac::Entity>, psf_drbac::Entity)> {
-    use psf_drbac::wal::{DurableRepository, FsyncPolicy, WalConfig};
-    use psf_drbac::DelegationBuilder;
-    let (d, _) = DurableRepository::open(
-        dir,
-        WalConfig {
-            fsync: FsyncPolicy::Never,
-            auto_compact_appends: None,
-        },
-    )?;
-    let user = psf_drbac::Entity::with_seed("ChaosUser", b"chaos-wal");
-    let mut domains = Vec::new();
-    for i in 0..12u64 {
-        let dom = psf_drbac::Entity::with_seed(format!("CD{i}"), b"chaos-wal");
-        let cred = DelegationBuilder::new(&dom)
-            .subject_entity(&user)
-            .role(dom.role("R"))
-            .sign();
-        let id = cred.id();
-        d.repository().publish_at_issuer(cred);
-        if mix64(seed ^ i).is_multiple_of(3) {
-            d.bus().revoke(&id);
-        }
-        domains.push(dom);
-    }
-    d.sync()?;
-    Ok((domains, user))
-}
-
-/// Rebuild an in-memory oracle from the valid records of the (damaged)
-/// on-disk log, recover the directory, and require byte-identical
-/// authorization state: same credential ids, same revocation set, and the
-/// same `prove` outcome for every role the workload created. Finally
-/// re-open writable (truncating the tail) and require the directory to
-/// verify clean.
-fn wal_check(
-    dir: &std::path::Path,
-    domains: &[psf_drbac::Entity],
-    user: &psf_drbac::Entity,
-) -> (bool, String) {
-    use psf_drbac::entity::EntityRegistry;
-    use psf_drbac::repository::Repository;
-    use psf_drbac::revocation::RevocationBus;
-    use psf_drbac::wal::{self, DurableRepository, WalConfig};
-
-    let image = match std::fs::read(dir.join(wal::LOG_FILE)) {
-        Ok(b) => b,
-        Err(e) => return (false, format!("read log: {e}")),
-    };
-    let scan = wal::scan_log(&image);
-    let oracle_repo = Repository::new();
-    let oracle_bus = RevocationBus::new();
-    for rec in &scan.records {
-        match &rec.op {
-            wal::WalOp::Publish { home, tag, cred } => {
-                oracle_repo.publish(home.clone(), cred.clone(), *tag)
-            }
-            wal::WalOp::Revoke { id } => oracle_bus.revoke(id),
-            wal::WalOp::RevokeBatch { ids } => {
-                for id in ids {
-                    oracle_bus.revoke(id);
-                }
-            }
-            wal::WalOp::PurgeExpired { now } => {
-                oracle_repo.purge_expired(*now);
-            }
-        }
-    }
-
-    let (rec_repo, rec_bus, report) = match Repository::recover(dir) {
-        Ok(x) => x,
-        Err(e) => return (false, format!("recover: {e}")),
-    };
-
-    let registry = EntityRegistry::new();
-    registry.register(user);
-    for d in domains {
-        registry.register(d);
-    }
-    let subject = user.as_subject();
-    let oracle_engine = ProofEngine::new(&registry, &oracle_repo, &oracle_bus, 0);
-    let rec_engine = ProofEngine::new(&registry, &rec_repo, &rec_bus, 0);
-    let mut agree = 0;
-    for d in domains {
-        let role = d.role("R");
-        if oracle_engine.check(&subject, &role, &[]) != rec_engine.check(&subject, &role, &[]) {
-            return (false, format!("decision divergence on {role}"));
-        }
-        agree += 1;
-    }
-    let creds_match = oracle_repo
-        .all_credentials()
-        .iter()
-        .map(|c| c.id())
-        .collect::<Vec<_>>()
-        == rec_repo
-            .all_credentials()
-            .iter()
-            .map(|c| c.id())
-            .collect::<Vec<_>>();
-    let revoked_match = oracle_bus.revoked_ids() == rec_bus.revoked_ids();
-    if !creds_match || !revoked_match {
-        return (
-            false,
-            format!("state divergence (creds: {creds_match}, revocations: {revoked_match})"),
-        );
-    }
-
-    // Writable reopen truncates the torn tail; afterwards the directory
-    // must verify clean and replay the same records.
-    match DurableRepository::open(dir, WalConfig::default()) {
-        Ok((_d, rep2)) => {
-            if rep2.records_replayed != report.records_replayed {
-                return (
-                    false,
-                    "writable reopen replays a different count".to_string(),
-                );
-            }
-        }
-        Err(e) => return (false, format!("reopen: {e}")),
-    }
-    match wal::verify_dir(dir) {
-        Ok(v) if v.is_clean() => (
-            true,
-            format!(
-                "{} record(s) replayed, {} byte(s) truncated, {agree} decision(s) agree",
-                report.records_replayed, report.truncated_bytes
-            ),
-        ),
-        Ok(_) => (false, "directory not clean after recovery".to_string()),
-        Err(e) => (false, format!("verify: {e}")),
-    }
-}
-
-/// The [`wal_workload`] twin for the sharded layout: the same seeded
-/// publish/revoke schedule against an 8-shard durable directory, so the
-/// records scatter across per-shard WAL segments.
+/// Seeded publish/revoke workload against a fresh `shards`-shard durable
+/// directory at `dir`: twelve self-certifying `CDi.R → ChaosUser`
+/// credentials, a third of them revoked. Returns the entities so callers
+/// can re-derive the authorization queries after a crash.
 fn sharded_wal_workload(
     dir: &std::path::Path,
+    shards: usize,
     seed: u64,
 ) -> std::io::Result<(Vec<psf_drbac::Entity>, psf_drbac::Entity)> {
     use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
     use psf_drbac::DelegationBuilder;
     let (d, _) = ShardedDurableRepository::open(
         dir,
-        8,
+        shards,
         WalConfig {
             fsync: FsyncPolicy::Never,
             auto_compact_appends: None,
@@ -1371,14 +1169,96 @@ fn sharded_wal_workload(
         domains.push(dom);
     }
     d.sync()?;
-    d.detach();
     Ok((domains, user))
 }
 
-/// The [`wal_check`] twin for the sharded layout: rebuild the oracle from
-/// the valid records of EVERY segment (the torn shard contributes only
-/// its surviving prefix), recover, and require identical authorization
-/// state and decisions. A writable reopen must then truncate the tail and
+/// The log of every segment of a `shards`-shard durable directory: the
+/// shard segments in order, then the bus segment.
+fn segment_logs(dir: &std::path::Path, shards: usize) -> Vec<std::path::PathBuf> {
+    psf_drbac::wal::segment_dirs(dir, shards)
+        .into_iter()
+        .map(|seg| seg.join(psf_drbac::wal::LOG_FILE))
+        .collect()
+}
+
+/// One WAL crash phase on a fresh one-shard directory at `dir`: run the
+/// seeded workload, `damage` the files (returning what it did), then
+/// require [`sharded_wal_check`] to pass.
+fn wal_crash_phase(
+    dir: &std::path::Path,
+    seed: u64,
+    damage: impl FnOnce(&std::path::Path) -> Result<String, String>,
+) -> (bool, String) {
+    let _ = std::fs::remove_dir_all(dir);
+    let (domains, user) = match sharded_wal_workload(dir, 1, seed) {
+        Ok(x) => x,
+        Err(e) => return (false, format!("workload: {e}")),
+    };
+    match damage(dir) {
+        Ok(what) => {
+            let (ok, d) = sharded_wal_check(dir, &domains, &user);
+            (ok, format!("{what}; {d}"))
+        }
+        Err(e) => (false, e),
+    }
+}
+
+/// Cut a seeded choice among the non-empty segment logs of the one-shard
+/// directory `dir` at a seeded byte offset.
+fn tear_one_segment(dir: &std::path::Path, seed: u64) -> Result<String, String> {
+    let len = |log: &std::path::PathBuf| std::fs::metadata(log).map(|m| m.len()).unwrap_or(0);
+    let logs = segment_logs(dir, 1);
+    let start = mix64(seed ^ 0x5e9) as usize;
+    let log = (0..logs.len())
+        .map(|k| &logs[(start + k) % logs.len()])
+        .find(|log| len(log) >= 2)
+        .ok_or("workload wrote no log")?;
+    let len = len(log);
+    let cut = 1 + mix64(seed ^ 0x7a11) % (len - 1);
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(log)
+        .and_then(|f| f.set_len(cut))
+        .map_err(|e| format!("cannot tear log: {e}"))?;
+    Ok(format!("{} cut at byte {cut}/{len}", log.display()))
+}
+
+/// Flip one payload byte of a seeded-chosen committed record among every
+/// segment of the one-shard directory `dir`.
+fn corrupt_one_record(dir: &std::path::Path, seed: u64) -> Result<String, String> {
+    // Every committed record as (segment log, frame offset).
+    let mut records = Vec::new();
+    for log in segment_logs(dir, 1) {
+        let image = std::fs::read(&log).map_err(|e| format!("read log: {e}"))?;
+        let scan = psf_drbac::wal::scan_log(&image);
+        records.extend(
+            scan.records
+                .iter()
+                .map(|r| (log.clone(), r.offset as usize)),
+        );
+    }
+    if records.is_empty() {
+        return Err("workload wrote no records".to_string());
+    }
+    let r = (mix64(seed ^ 0xc0de) as usize) % records.len();
+    let (log, offset) = &records[r];
+    std::fs::read(log)
+        .and_then(|mut image| {
+            // +8 skips the frame header: the flip lands in the CRC-covered
+            // payload.
+            image[offset + 8] ^= 0xff;
+            std::fs::write(log, &image)
+        })
+        .map_err(|e| format!("cannot corrupt log: {e}"))?;
+    Ok(format!("corrupted record {r}/{}", records.len()))
+}
+
+/// Recover a (damaged) durable directory and rebuild an in-memory oracle
+/// from the valid records of EVERY segment (a torn or corrupt segment
+/// contributes only its surviving prefix), then require identical
+/// authorization state and decisions: same credential ids, same
+/// revocation set, and the same `prove` outcome for every role the
+/// workload created. A writable reopen must then truncate the tail and
 /// leave every segment verifying clean.
 fn sharded_wal_check(
     dir: &std::path::Path,
@@ -1390,15 +1270,19 @@ fn sharded_wal_check(
     use psf_drbac::revocation::RevocationBus;
     use psf_drbac::wal::{self, ShardedDurableRepository, WalConfig};
 
+    let (rec_repo, rec_bus, report) = match Repository::recover_sharded(dir) {
+        Ok(x) => x,
+        Err(e) => return (false, format!("recover: {e}")),
+    };
+    // The recovered repository has the shard count shards.meta records.
+    let shards = rec_repo.shard_count();
+
     let oracle_repo = Repository::new();
     let oracle_bus = RevocationBus::new();
-    let mut segment_dirs: Vec<std::path::PathBuf> =
-        (0..8).map(|i| dir.join(wal::shard_dir_name(i))).collect();
-    segment_dirs.push(dir.join(wal::BUS_DIR));
-    for seg in &segment_dirs {
-        let image = match std::fs::read(seg.join(wal::LOG_FILE)) {
+    for log in segment_logs(dir, shards) {
+        let image = match std::fs::read(&log) {
             Ok(b) => b,
-            Err(e) => return (false, format!("read {}: {e}", seg.display())),
+            Err(e) => return (false, format!("read {}: {e}", log.display())),
         };
         for rec in &wal::scan_log(&image).records {
             match &rec.op {
@@ -1418,11 +1302,6 @@ fn sharded_wal_check(
         }
     }
 
-    let (rec_repo, rec_bus, report) = match Repository::recover_sharded(dir) {
-        Ok(x) => x,
-        Err(e) => return (false, format!("recover: {e}")),
-    };
-
     let registry = EntityRegistry::new();
     registry.register(user);
     for d in domains {
@@ -1439,42 +1318,28 @@ fn sharded_wal_check(
         }
         agree += 1;
     }
-    let oracle_ids = {
-        let mut v: Vec<String> = oracle_repo
-            .all_credentials()
-            .iter()
-            .map(|c| c.id())
-            .collect();
-        v.sort();
-        v
+    let ids = |repo: &Repository| -> Vec<String> {
+        repo.all_credentials().iter().map(|c| c.id()).collect()
     };
-    let rec_ids = {
-        let mut v: Vec<String> = rec_repo.all_credentials().iter().map(|c| c.id()).collect();
-        v.sort();
-        v
-    };
-    if oracle_ids != rec_ids || oracle_bus.revoked_ids() != rec_bus.revoked_ids() {
+    let creds_match = ids(&oracle_repo) == ids(&rec_repo);
+    let revoked_match = oracle_bus.revoked_ids() == rec_bus.revoked_ids();
+    if !creds_match || !revoked_match {
         return (
             false,
-            format!(
-                "state divergence (creds: {}, revocations: {})",
-                oracle_ids == rec_ids,
-                oracle_bus.revoked_ids() == rec_bus.revoked_ids()
-            ),
+            format!("state divergence (creds: {creds_match}, revocations: {revoked_match})"),
         );
     }
 
     // Writable reopen truncates the torn tail; afterwards every segment
     // must verify clean and replay the same records.
-    match ShardedDurableRepository::open(dir, 8, WalConfig::default()) {
-        Ok((d, rep2)) => {
+    match ShardedDurableRepository::open(dir, shards, WalConfig::default()) {
+        Ok((_, rep2)) => {
             if rep2.records_replayed != report.records_replayed {
                 return (
                     false,
                     "writable reopen replays a different count".to_string(),
                 );
             }
-            d.detach();
         }
         Err(e) => return (false, format!("reopen: {e}")),
     }
@@ -1495,51 +1360,10 @@ fn sharded_wal_check(
 }
 
 /// Seed `n` synthetic publish records (plus a revocation every 64) into
-/// the durable repository at `dir`. Signatures are dummies — recovery
+/// the durable directory at `dir`, routed to per-shard WAL segments; a new
+/// directory gets `shards` shards. Signatures are dummies — recovery
 /// replay never verifies them — which keeps multi-100k fills fast enough
 /// for a bench fixture.
-fn fill_durable_dir(dir: &std::path::Path, n: usize) -> std::io::Result<()> {
-    use psf_drbac::entity::{EntityName, Subject};
-    use psf_drbac::wal::{DurableRepository, FsyncPolicy, WalConfig};
-    use psf_drbac::{AttrSet, Delegation, DelegationKind, DiscoveryTag, SignedDelegation};
-    let (d, _) = DurableRepository::open(
-        dir,
-        WalConfig {
-            fsync: FsyncPolicy::Never,
-            auto_compact_appends: None,
-        },
-    )?;
-    let issuer = psf_drbac::Entity::with_seed("FillHome", b"fill-wal");
-    let key = issuer.public_key();
-    for i in 0..n {
-        let body = Delegation {
-            subject: Subject::Entity {
-                name: EntityName(format!("U{i}")),
-                key,
-            },
-            object: issuer.role("R"),
-            kind: DelegationKind::SelfCertifying,
-            issuer: issuer.name.clone(),
-            attrs: AttrSet::new(),
-            expires: None,
-            monitored: false,
-            serial: i as u64,
-        };
-        let cred = SignedDelegation {
-            body,
-            signature: psf_crypto::ed25519::Signature([0u8; 64]),
-        };
-        d.repository()
-            .publish(issuer.name.clone(), cred, DiscoveryTag::None);
-        if i.is_multiple_of(64) {
-            d.bus().revoke(&format!("deadbeef{i:08x}"));
-        }
-    }
-    d.sync()
-}
-
-/// Synthetic-fill variant of [`fill_durable_dir`] for the sharded layout:
-/// the same dummy-signature records, routed to per-shard WAL segments.
 fn fill_sharded_dir(dir: &std::path::Path, shards: usize, n: usize) -> std::io::Result<()> {
     use psf_drbac::entity::{EntityName, Subject};
     use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
@@ -1581,21 +1405,50 @@ fn fill_sharded_dir(dir: &std::path::Path, shards: usize, n: usize) -> std::io::
     d.sync()
 }
 
-/// The `psf repo` handler for sharded layouts: per-shard stats rows,
-/// whole-directory verification (exit 1 if ANY segment is damaged), and
-/// all-segment compaction.
-fn repo_cmd_sharded(
-    cli: &Cli,
-    dir: &std::path::Path,
-    verify: bool,
-    compact: bool,
-    stats: bool,
-) -> i32 {
+/// Inspect or maintain a durable credential repository directory:
+/// `--verify` (read-only integrity check of every segment, exit 1 if ANY
+/// segment is damaged), `--stats` (replay counts plus per-shard occupancy
+/// rows), `--compact` (snapshot + truncate every segment), `--fill N`
+/// (seed synthetic records for demos and benches; a new directory gets
+/// `--shards S` shards, default [`psf_drbac::DEFAULT_SHARD_COUNT`]).
+fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
     use psf_drbac::wal::{self, ShardedDurableRepository, WalConfig};
+    let Some(dir) = flag_value(args, "--dir").map(std::path::PathBuf::from) else {
+        eprintln!("repo: --dir DIR is required");
+        return 2;
+    };
+    let verify = args.iter().any(|a| a == "--verify");
+    let compact = args.iter().any(|a| a == "--compact");
+    let stats = args.iter().any(|a| a == "--stats");
+    let fill: Option<usize> = flag_value(args, "--fill").and_then(|v| v.parse().ok());
+    let shards: Option<usize> = flag_value(args, "--shards").and_then(|v| v.parse().ok());
+
+    if let Some(n) = fill {
+        let shards = shards.unwrap_or(psf_drbac::DEFAULT_SHARD_COUNT);
+        if let Err(e) = fill_sharded_dir(&dir, shards, n) {
+            eprintln!("repo: fill failed: {e}");
+            return 1;
+        }
+        cli.say(format!("repo: {n} synthetic record(s) appended"));
+    }
+    if !dir.is_dir() {
+        eprintln!("repo: {} is not a directory", dir.display());
+        return 2;
+    }
+    // Verifying first also refuses a directory without a durable layout
+    // (or in the retired single-log one) before --compact writes to it.
+    let verify_dir = || {
+        wal::verify_sharded_dir(&dir)
+            .map_err(|e| eprintln!("repo: verify failed: {e}"))
+            .ok()
+    };
+    let Some(mut v) = verify_dir() else {
+        return 1;
+    };
 
     if compact {
         // The on-disk shards.meta overrides the requested count of 1.
-        let (d, report) = match ShardedDurableRepository::open(dir, 1, WalConfig::default()) {
+        let (d, report) = match ShardedDurableRepository::open(&dir, 1, WalConfig::default()) {
             Ok(x) => x,
             Err(e) => {
                 eprintln!("repo: open failed: {e}");
@@ -1616,18 +1469,15 @@ fn repo_cmd_sharded(
                 return 1;
             }
         }
+        let Some(after) = verify_dir() else {
+            return 1;
+        };
+        v = after;
     }
 
-    let v = match wal::verify_sharded_dir(dir) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repo: verify failed: {e}");
-            return 1;
-        }
-    };
     if verify || stats || !compact {
         cli.say(format!(
-            "repo: {} (sharded, {} shard(s))",
+            "repo: {} ({} shard(s))",
             dir.display(),
             v.shards.len()
         ));
@@ -1636,7 +1486,7 @@ fn repo_cmd_sharded(
         // One writable open: the replay report, the recovered in-memory
         // image (occupancy + tag-index columns), and the live segment
         // stats (WAL bytes + last compaction) all come from it.
-        match ShardedDurableRepository::open(dir, 1, WalConfig::default()) {
+        match ShardedDurableRepository::open(&dir, 1, WalConfig::default()) {
             Ok((d, report)) => {
                 cli.say(format!(
                     "  replay: {} publish(es), {} revocation(s) restored, \
@@ -1678,7 +1528,6 @@ fn repo_cmd_sharded(
                         }
                     ));
                 }
-                d.detach();
             }
             Err(e) => {
                 eprintln!("repo: recover failed: {e}");
@@ -1711,131 +1560,6 @@ fn repo_cmd_sharded(
                 "verdict: DAMAGED ({} segment(s) torn or corrupt)",
                 v.damaged().len()
             );
-            return 1;
-        }
-    }
-    0
-}
-
-/// Inspect or maintain a durable credential repository directory:
-/// `--verify` (read-only integrity check, exit 1 on damage), `--stats`
-/// (sizes + replay counts), `--compact` (snapshot + truncate), `--fill N`
-/// (seed synthetic records for demos and benches). Sharded layouts are
-/// auto-detected; `--fill N --shards S` creates one.
-fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
-    use psf_drbac::repository::Repository;
-    use psf_drbac::wal::{self, DurableRepository, WalConfig};
-    let Some(dir) = flag_value(args, "--dir").map(std::path::PathBuf::from) else {
-        eprintln!("repo: --dir DIR is required");
-        return 2;
-    };
-    let verify = args.iter().any(|a| a == "--verify");
-    let compact = args.iter().any(|a| a == "--compact");
-    let stats = args.iter().any(|a| a == "--stats");
-    let fill: Option<usize> = flag_value(args, "--fill").and_then(|v| v.parse().ok());
-    let shards: Option<usize> = flag_value(args, "--shards").and_then(|v| v.parse().ok());
-
-    if let Some(n) = fill {
-        let sharded = shards.is_some() || wal::is_sharded_dir(&dir);
-        let filled = if sharded {
-            fill_sharded_dir(&dir, shards.unwrap_or(psf_drbac::DEFAULT_SHARD_COUNT), n)
-        } else {
-            fill_durable_dir(&dir, n)
-        };
-        if let Err(e) = filled {
-            eprintln!("repo: fill failed: {e}");
-            return 1;
-        }
-        cli.say(format!("repo: {n} synthetic record(s) appended"));
-    }
-    if !dir.is_dir() {
-        eprintln!("repo: {} is not a directory", dir.display());
-        return 2;
-    }
-    if wal::is_sharded_dir(&dir) {
-        return repo_cmd_sharded(cli, &dir, verify, compact, stats);
-    }
-
-    if compact {
-        let (d, report) = match DurableRepository::open(&dir, WalConfig::default()) {
-            Ok(x) => x,
-            Err(e) => {
-                eprintln!("repo: open failed: {e}");
-                return 1;
-            }
-        };
-        match d.compact() {
-            Ok(r) => cli.say(format!(
-                "repo: compacted — snapshot {} credential(s) + {} revocation(s), \
-                 {} log byte(s) dropped ({} record(s) were replayed)",
-                r.snapshot_entries,
-                r.snapshot_revocations,
-                r.log_bytes_dropped,
-                report.records_replayed
-            )),
-            Err(e) => {
-                eprintln!("repo: compaction failed: {e}");
-                return 1;
-            }
-        }
-    }
-
-    let v = match wal::verify_dir(&dir) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("repo: verify failed: {e}");
-            return 1;
-        }
-    };
-    if verify || stats || (!compact && fill.is_none()) {
-        cli.say(format!("repo: {}", dir.display()));
-        cli.say(match (v.snapshot_present, v.snapshot_corrupt) {
-            (false, _) => "  snapshot: none".to_string(),
-            (true, true) => "  snapshot: CORRUPT (ignored at recovery)".to_string(),
-            (true, false) => format!(
-                "  snapshot: {} credential(s), {} revocation(s)",
-                v.snapshot_entries, v.snapshot_revocations
-            ),
-        });
-        cli.say(format!(
-            "  log: {} record(s), {} valid byte(s), {} truncated byte(s)",
-            v.log_records, v.valid_bytes, v.truncated_bytes
-        ));
-        if let Some(reason) = &v.corruption {
-            cli.say(format!("  corruption: {reason}"));
-        }
-    }
-    if stats {
-        match Repository::recover(&dir) {
-            Ok((repo, bus, report)) => {
-                cli.say(format!(
-                    "  replay: {} publish(es), {} revocation(s) restored, \
-                     {} duplicate(s) skipped, {} purge(s), epoch {}",
-                    report.publishes,
-                    report.revocations_restored,
-                    report.duplicates_skipped,
-                    report.purges,
-                    report.epoch
-                ));
-                cli.say(format!(
-                    "  live: {} credential(s) across {} home(s), {} revoked id(s)",
-                    repo.len(),
-                    repo.home_count(),
-                    bus.revoked_count()
-                ));
-            }
-            Err(e) => {
-                eprintln!("repo: recover failed: {e}");
-                return 1;
-            }
-        }
-    }
-    if verify {
-        if v.is_clean() {
-            cli.say("verdict: clean");
-        } else {
-            // Damage verdicts print even under --quiet: this is the CI gate.
-            println!("verdict: DAMAGED (torn or corrupt bytes present)");
             return 1;
         }
     }
@@ -1975,15 +1699,16 @@ fn bench(cli: &Cli, args: &[String]) -> i32 {
     });
     let (_, plan_stats) = w.plan_service(&goal).unwrap();
 
-    // Durable-repository recovery: fill a WAL directory with synthetic
-    // records, then time a cold `Repository::recover` replay.
+    // Durable-repository recovery: fill a one-shard WAL directory with
+    // synthetic records, then time a cold `Repository::recover_sharded`
+    // replay.
     let replay_records: usize = if quick { 10_000 } else { 100_000 };
     let replay_dir = std::env::temp_dir().join(format!("psf-bench-wal-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&replay_dir);
-    let (replay_ms, replay_rate) = match fill_durable_dir(&replay_dir, replay_records) {
+    let (replay_ms, replay_rate) = match fill_sharded_dir(&replay_dir, 1, replay_records) {
         Ok(()) => {
             let t0 = std::time::Instant::now();
-            let replayed = match psf_drbac::repository::Repository::recover(&replay_dir) {
+            let replayed = match psf_drbac::repository::Repository::recover_sharded(&replay_dir) {
                 Ok((_, _, report)) => report.records_replayed,
                 Err(e) => {
                     eprintln!("bench: recovery replay failed: {e}");
@@ -2324,7 +2049,7 @@ fn quantile_us(samples: &mut [u64], q: f64) -> f64 {
 fn bench_sharded_repo(cli: &Cli, pr4_out: &str, quick: bool, check: bool) -> i32 {
     use psf_drbac::entity::{EntityName, Subject};
     use psf_drbac::repository::Repository;
-    use psf_drbac::wal::{DurableRepository, FsyncPolicy, ShardedDurableRepository, WalConfig};
+    use psf_drbac::wal::{FsyncPolicy, ShardedDurableRepository, WalConfig};
     use psf_drbac::{
         subject_key, AttrSet, Delegation, DelegationKind, DiscoveryTag, SignedDelegation,
     };
@@ -2402,9 +2127,10 @@ fn bench_sharded_repo(cli: &Cli, pr4_out: &str, quick: bool, check: bool) -> i32
     //   1. sharded store in its group-commit operating mode (EveryN(64)
     //      per shard segment, bounded loss on crash, trailing sync()
     //      inside the timed window) — the headline number;
-    //   2. the single-lock PR 7 baseline at its shipped default
-    //      (Always: fsync per record inside the one writer mutex, which
-    //      serializes all eight writers behind the disk);
+    //   2. the single-lock baseline: one shard at Always, with the
+    //      driver holding one mutex around each publish, so no two
+    //      writers ever share an fsync — one fsync per record, all eight
+    //      writers serialized behind the disk;
     //   3. the sharded store at that same Always policy, where group
     //      commit makes concurrent writers share fsyncs — recorded as
     //      the durability-matched comparison.
@@ -2465,9 +2191,11 @@ fn bench_sharded_repo(cli: &Cli, pr4_out: &str, quick: bool, check: bool) -> i32
 
     let baseline_dir = tmp.join("baseline");
     let (baseline_ops_per_sec, baseline_fsyncs) =
-        match DurableRepository::open(&baseline_dir, always_config) {
+        match ShardedDurableRepository::open(&baseline_dir, 1, always_config) {
             Ok((d, _)) => {
+                let single_lock = std::sync::Mutex::new(());
                 let secs = drive(baseline_n, &|i| {
+                    let _one_writer = single_lock.lock().unwrap();
                     d.repository().publish(
                         EntityName(format!("H{}", i % 64)),
                         cred_for(i, i as u64),

@@ -291,6 +291,17 @@ pub struct Repository {
     inner: Arc<RepositoryInner>,
 }
 
+/// A handle that does not keep its [`Repository`] alive. The repository
+/// owns its observer, so an observer that needs the repository back holds
+/// one of these — a strong handle would be a reference cycle.
+pub(crate) struct WeakRepository(std::sync::Weak<RepositoryInner>);
+
+impl WeakRepository {
+    pub(crate) fn upgrade(&self) -> Option<Repository> {
+        self.0.upgrade().map(|inner| Repository { inner })
+    }
+}
+
 struct RepositoryInner {
     shards: Vec<ShardState>,
     mask: u64,
@@ -642,6 +653,11 @@ impl Repository {
     /// ([`crate::wal`]) is the intended consumer.
     pub fn set_observer(&self, observer: Option<RepoObserver>) {
         *self.inner.observer.write() = observer;
+    }
+
+    /// A non-owning handle to this repository (see [`WeakRepository`]).
+    pub(crate) fn downgrade(&self) -> WeakRepository {
+        WeakRepository(Arc::downgrade(&self.inner))
     }
 
     /// A deterministic snapshot of every stored credential with its home

@@ -50,6 +50,16 @@ pub struct RevocationBus {
     inner: Arc<BusInner>,
 }
 
+/// A handle that does not keep its [`RevocationBus`] alive: what an
+/// observer registered on the bus holds to reach the bus again.
+pub(crate) struct WeakRevocationBus(std::sync::Weak<BusInner>);
+
+impl WeakRevocationBus {
+    pub(crate) fn upgrade(&self) -> Option<RevocationBus> {
+        self.0.upgrade().map(|inner| RevocationBus { inner })
+    }
+}
+
 impl Default for RevocationBus {
     fn default() -> Self {
         Self::new()
@@ -107,6 +117,11 @@ impl RevocationBus {
     /// the stack — deployer rollbacks, supervisor teardowns, guards.
     pub fn set_observer(&self, observer: Option<RevocationObserver>) {
         *self.inner.observer.lock() = observer;
+    }
+
+    /// A non-owning handle to this bus (see [`WeakRevocationBus`]).
+    pub(crate) fn downgrade(&self) -> WeakRevocationBus {
+        WeakRevocationBus(Arc::downgrade(&self.inner))
     }
 
     /// Snapshot of every revoked credential id, sorted (deterministic for

@@ -6,12 +6,24 @@
 //! plane crash-safe, in the spirit of SAFE's durable linked-credential
 //! store (Thummala & Chase): every repository mutation is appended to an
 //! on-disk log *before* the caller regains control, and
-//! [`DurableRepository::open`] replays the log (plus the latest snapshot)
-//! to rebuild the exact pre-crash authorization state.
+//! [`ShardedDurableRepository::open`] replays the logs (plus the latest
+//! snapshots) to rebuild the exact pre-crash authorization state.
+//!
+//! ## Layout
+//!
+//! A durable directory holds a checksummed `shards.meta` (the shard
+//! count), one log segment per repository shard under `shard-NN/`, and a
+//! `bus/` segment for revocations. A segment is a `delegations.wal` log
+//! plus an optional `snapshot.bin`. A publish is appended only to its
+//! subject's shard segment, so writers to different shards never share a
+//! log mutex; recovery replays every segment in parallel. A one-shard
+//! directory is the plain single-log store. The retired single-log layout
+//! (a top-level `delegations.wal` or `snapshot.bin` without `shards.meta`)
+//! is refused with [`std::io::ErrorKind::InvalidData`], never migrated.
 //!
 //! ## Record format
 //!
-//! The log is a sequence of self-delimiting frames:
+//! A log is a sequence of self-delimiting frames:
 //!
 //! ```text
 //! [u32 len][u32 crc32][payload]          len, crc little-endian
@@ -31,38 +43,33 @@
 //!
 //! ## Torn writes, duplicates, ordering
 //!
-//! A crash mid-append leaves a torn tail. Recovery scans the log
+//! A crash mid-append leaves a torn tail. Recovery scans each log
 //! front-to-back and stops at the first frame whose header, length, CRC,
 //! or payload fails to decode; everything before is replayed, everything
-//! after is truncated (physically, by [`DurableRepository::open`];
-//! [`Repository::recover`] and [`verify_dir`] are read-only and never
-//! modify the files). Replay is duplicate-tolerant — a crash between
-//! snapshot rename and log truncation leaves both covering the same
-//! records, and `(home, credential-id)` dedup makes the overlap
-//! harmless — and out-of-order-revoke tolerant (a `Revoke` for an id the
-//! log never publishes still lands in the bus).
+//! after is truncated (physically, by [`ShardedDurableRepository::open`];
+//! [`Repository::recover_sharded`] and [`verify_sharded_dir`] are
+//! read-only and never modify the files). Replay is duplicate-tolerant —
+//! a crash between snapshot rename and log truncation leaves both
+//! covering the same records, and `(home, credential-id)` dedup makes the
+//! overlap harmless — and out-of-order-revoke tolerant (a `Revoke` for an
+//! id no segment publishes still lands in the bus).
 //!
 //! ## Snapshots & compaction
 //!
-//! [`DurableRepository::compact`] writes the full repository + revocation
-//! state to `snapshot.tmp`, fsyncs, renames it over `snapshot.bin`,
-//! fsyncs the directory, and only then truncates the log. The snapshot
+//! Compaction works one segment at a time: it writes the segment's state
+//! to `snapshot.tmp`, fsyncs, renames it over `snapshot.bin`, fsyncs the
+//! directory, and only then truncates the segment's log. The snapshot
 //! carries a trailing CRC32 over its entire contents; a corrupt snapshot
 //! (torn rename on a filesystem without atomic rename durability) is
 //! ignored at recovery and reported in the [`RecoveryReport`].
 //!
-//! ## Sharded layout
+//! ## Group commit
 //!
-//! [`ShardedDurableRepository`] scales the same machinery to the sharded
-//! [`Repository`]: one log segment *per repository shard* under
-//! `dir/shard-NN/` (same frame format, same snapshot format, same
-//! per-segment compaction) plus a `dir/bus/` segment for revocations, all
-//! declared by a checksummed `dir/shards.meta`. A publish is appended only
-//! to its subject's shard segment, so writers to different shards never
-//! share a log mutex; recovery replays every segment in parallel. Group
-//! commit batches frames per segment under [`FsyncPolicy::EveryN`] /
-//! [`FsyncPolicy::Never`] (note the loss window for buffered frames then
-//! includes a process crash, not just power loss — `sync()` flushes).
+//! Under [`FsyncPolicy::Always`] concurrent appenders to one segment share
+//! an fsync. [`FsyncPolicy::EveryN`] / [`FsyncPolicy::Never`] batch frames
+//! per segment in memory, so their loss window includes a process crash,
+//! not just power loss — `sync()` flushes, and so does dropping the last
+//! handle.
 
 use crate::delegation::SignedDelegation;
 use crate::entity::EntityName;
@@ -246,13 +253,11 @@ fn encode_payload(epoch: u64, op: &WalOp) -> Vec<u8> {
     out
 }
 
-/// Frame a payload: `[u32 len][u32 crc][payload]`.
-fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(payload.len() + 8);
+/// Append the frame of a payload to `out`: `[u32 len][u32 crc][payload]`.
+fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     out.extend_from_slice(&crc32(payload).to_le_bytes());
     out.extend_from_slice(payload);
-    out
 }
 
 fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), String> {
@@ -450,21 +455,24 @@ fn load_snapshot(path: &Path) -> std::io::Result<SnapshotLoad> {
 // Configuration
 // ---------------------------------------------------------------------------
 
-/// When the log file is fsynced.
+/// When segment logs are fsynced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// fsync after every append: a record is durable before the mutating
     /// call returns. The only policy under which "committed" in the
     /// acceptance sense — survives `kill -9` — is guaranteed.
     Always,
-    /// fsync every N appends: bounded loss window, much cheaper.
+    /// Buffer frames per segment and write + fsync every N appends:
+    /// bounded loss window, much cheaper.
     EveryN(u32),
-    /// Never fsync explicitly; the OS flushes when it pleases. Survives
-    /// process crashes (the page cache persists) but not power loss.
+    /// Never fsync explicitly: frames are buffered per segment and handed
+    /// to the OS in 64 KiB batches, which the OS flushes when it pleases.
+    /// A process crash loses the buffered frames; power loss also loses
+    /// whatever the OS had not yet written.
     Never,
 }
 
-/// Durability configuration for [`DurableRepository::open`].
+/// Durability configuration for [`ShardedDurableRepository::open`].
 #[derive(Debug, Clone, Copy)]
 pub struct WalConfig {
     /// Fsync policy for log appends.
@@ -491,14 +499,14 @@ impl Default for WalConfig {
 /// What recovery found and did.
 #[derive(Debug, Default, Clone)]
 pub struct RecoveryReport {
-    /// Credentials restored from the snapshot.
+    /// Credentials restored from segment snapshots.
     pub snapshot_entries: usize,
-    /// Revocations restored from the snapshot.
+    /// Revocations restored from segment snapshots.
     pub snapshot_revocations: usize,
-    /// True when a snapshot file existed but failed its checksum and was
-    /// ignored (the log alone was replayed).
+    /// True when a segment's snapshot file existed but failed its
+    /// checksum and was ignored (that segment's log alone was replayed).
     pub snapshot_corrupt: bool,
-    /// Log records replayed (after the snapshot).
+    /// Log records replayed (after the snapshots).
     pub records_replayed: usize,
     /// Publish records applied (excluding duplicates).
     pub publishes: usize,
@@ -510,7 +518,7 @@ pub struct RecoveryReport {
     /// was already present (snapshot/log overlap after a crash between
     /// snapshot rename and log truncation).
     pub duplicates_skipped: usize,
-    /// Torn-tail bytes discarded from the end of the log.
+    /// Torn-tail bytes discarded from the ends of the logs.
     pub truncated_bytes: u64,
     /// Valid log bytes retained.
     pub log_bytes: u64,
@@ -529,7 +537,7 @@ pub struct CompactReport {
     pub log_bytes_dropped: u64,
 }
 
-/// Read-only integrity report from [`verify_dir`].
+/// Read-only integrity report of one segment (see [`verify_sharded_dir`]).
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
     /// Whether a snapshot file exists.
@@ -551,440 +559,47 @@ pub struct VerifyReport {
 }
 
 impl VerifyReport {
-    /// True when the directory recovers with zero data loss: no torn
-    /// tail, no corrupt snapshot.
+    /// True when the segment recovers with zero data loss: no torn tail,
+    /// no corrupt snapshot.
     pub fn is_clean(&self) -> bool {
         self.truncated_bytes == 0 && !self.snapshot_corrupt
     }
 }
 
-/// Live counters for a [`DurableRepository`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WalStats {
-    /// Records appended since open.
-    pub appends: u64,
-    /// Explicit fsyncs issued since open.
-    pub fsyncs: u64,
-    /// Compactions performed since open.
-    pub compactions: u64,
-    /// Current log file size in bytes.
-    pub log_bytes: u64,
-    /// Current snapshot file size in bytes (0 when absent).
-    pub snapshot_bytes: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Replay (shared by open() and Repository::recover())
-// ---------------------------------------------------------------------------
-
-fn replay(
-    dir: &Path,
-    repo: &Repository,
-    bus: &RevocationBus,
-) -> std::io::Result<(RecoveryReport, LogScan)> {
-    let mut report = RecoveryReport::default();
-    let mut max_epoch = 0u64;
-    // (home, credential-id) → expiry, for every pair currently applied —
-    // dedup for snapshot/log overlap and replayed double-publishes. A
-    // replayed purge *removes* expired pairs, so a later re-publish of a
-    // purged credential is applied rather than mistaken for a duplicate.
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
-
-    match load_snapshot(&dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            report.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("snapshot ignored: {reason}"))
-            .commit();
-        }
-        SnapshotLoad::Loaded(snap) => {
-            max_epoch = max_epoch.max(snap.epoch);
-            for (home, tag, cred) in snap.entries {
-                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
-                repo.publish(home, cred, tag);
-                report.snapshot_entries += 1;
-            }
-            report.snapshot_revocations = snap.revoked.len();
-            report.revocations_restored += bus.restore(&snap.revoked);
-        }
-    }
-
-    let log_image = match std::fs::read(dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        max_epoch = max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Publish { home, tag, cred } => {
-                use std::collections::hash_map::Entry;
-                match seen.entry((home.0.clone(), cred.id())) {
-                    Entry::Occupied(_) => report.duplicates_skipped += 1,
-                    Entry::Vacant(v) => {
-                        v.insert(cred.body.expires);
-                        repo.publish(home.clone(), cred.clone(), *tag);
-                        report.publishes += 1;
-                    }
-                }
-            }
-            WalOp::Revoke { id } => {
-                report.revocations_restored += bus.restore([id.as_str()]);
-            }
-            WalOp::RevokeBatch { ids } => {
-                report.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
-            }
-            WalOp::PurgeExpired { now } => {
-                repo.purge_expired(*now);
-                report.purges += 1;
-                seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
-            }
-        }
-    }
-    report.records_replayed = scan.records.len();
-    report.truncated_bytes = scan.truncated_bytes;
-    report.log_bytes = scan.valid_bytes;
-
-    // Epoch monotonicity across the crash: never below anything a cache
-    // may have pinned, and strictly above it so stale negative entries die.
-    repo.raise_epoch(max_epoch);
-    report.epoch = repo.bump_epoch();
-
-    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
-    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
-    Ok((report, scan))
-}
-
-impl Repository {
-    /// Rebuild a repository (and its revocation bus) from a durable
-    /// directory, **read-only**: the snapshot and log are scanned and
-    /// replayed but never modified — a torn tail is skipped, not
-    /// truncated. Use [`DurableRepository::open`] to recover *and* keep
-    /// logging.
-    pub fn recover(dir: &Path) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
-        let repo = Repository::new();
-        let bus = RevocationBus::new();
-        let (report, _) = replay(dir, &repo, &bus)?;
-        Ok((repo, bus, report))
-    }
-}
-
-/// Read-only integrity check of a durable repository directory — scans
-/// the snapshot and log without replaying or modifying anything. Backs
-/// `psf repo --verify`.
-pub fn verify_dir(dir: &Path) -> std::io::Result<VerifyReport> {
-    let (snapshot_present, snapshot_corrupt, snapshot_entries, snapshot_revocations) =
-        match load_snapshot(&dir.join(SNAPSHOT_FILE))? {
-            SnapshotLoad::Missing => (false, false, 0, 0),
-            SnapshotLoad::Corrupt(_) => (true, true, 0, 0),
-            SnapshotLoad::Loaded(s) => (true, false, s.entries.len(), s.revoked.len()),
-        };
-    let log_image = match std::fs::read(dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    Ok(VerifyReport {
-        snapshot_present,
-        snapshot_corrupt,
-        snapshot_entries,
-        snapshot_revocations,
-        log_records: scan.records.len(),
-        valid_bytes: scan.valid_bytes,
-        truncated_bytes: scan.truncated_bytes,
-        corruption: scan.corruption,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// DurableRepository
-// ---------------------------------------------------------------------------
-
-struct WalWriter {
-    file: File,
-    unsynced: u32,
-    appends_since_compact: u64,
-}
-
-struct WalInner {
-    dir: PathBuf,
-    config: WalConfig,
-    writer: Mutex<WalWriter>,
-    appends: AtomicU64,
-    fsyncs: AtomicU64,
-    compactions: AtomicU64,
-}
-
-impl WalInner {
-    /// Append one framed payload. Returns true when the auto-compaction
-    /// threshold was crossed (the caller compacts *after* releasing the
-    /// writer lock — compaction re-takes it).
-    fn append(&self, payload: &[u8]) -> std::io::Result<bool> {
-        let framed = frame(payload);
-        let mut w = self.writer.lock();
-        w.file.write_all(&framed)?;
-        self.appends.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.appends").inc();
-        w.unsynced += 1;
-        let sync = match self.config.fsync {
-            FsyncPolicy::Always => true,
-            FsyncPolicy::EveryN(n) => w.unsynced >= n.max(1),
-            FsyncPolicy::Never => false,
-        };
-        if sync {
-            w.file.sync_data()?;
-            w.unsynced = 0;
-            self.fsyncs.fetch_add(1, Ordering::Relaxed);
-            psf_telemetry::counter!("psf.repo.wal.fsyncs").inc();
-        }
-        w.appends_since_compact += 1;
-        Ok(match self.config.auto_compact_appends {
-            Some(n) if n > 0 => w.appends_since_compact >= n,
-            _ => false,
-        })
-    }
-}
-
-/// A [`Repository`] + [`RevocationBus`] pair whose every mutation is
-/// appended to a crash-safe write-ahead log. The repository and bus are
-/// the ordinary in-memory types — guards, deployers, supervisors, and
-/// proof engines use them unchanged; durability rides on the observer
-/// hooks and is invisible to the rest of the stack.
-#[derive(Clone)]
-pub struct DurableRepository {
-    repo: Repository,
-    bus: RevocationBus,
-    inner: Arc<WalInner>,
-}
-
-impl DurableRepository {
-    /// Open (or create) a durable repository directory: replay
-    /// snapshot + log into a fresh repository/bus pair, physically
-    /// truncate any torn tail, then attach the logging observers so
-    /// subsequent mutations are appended. Returns the handle and the
-    /// recovery report.
-    pub fn open(
-        dir: &Path,
-        config: WalConfig,
-    ) -> std::io::Result<(DurableRepository, RecoveryReport)> {
-        std::fs::create_dir_all(dir)?;
-        let repo = Repository::new();
-        let bus = RevocationBus::new();
-        let (report, scan) = replay(dir, &repo, &bus)?;
-
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(dir.join(LOG_FILE))?;
-        if scan.truncated_bytes > 0 {
-            // Physically drop the torn tail so future appends start at a
-            // record boundary.
-            file.set_len(scan.valid_bytes)?;
-            file.sync_data()?;
-        }
-        file.seek(SeekFrom::End(0))?;
-
-        let inner = Arc::new(WalInner {
-            dir: dir.to_path_buf(),
-            config,
-            writer: Mutex::new(WalWriter {
-                file,
-                unsynced: 0,
-                appends_since_compact: 0,
-            }),
-            appends: AtomicU64::new(0),
-            fsyncs: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-        });
-
-        let durable = DurableRepository {
-            repo: repo.clone(),
-            bus: bus.clone(),
-            inner,
-        };
-
-        // Attach observers only now — replay must not re-log itself.
-        {
-            let d = durable.clone();
-            repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| {
-                let payload = match ev {
-                    RepoEvent::Published { home, cred, tag } => encode_payload(
-                        d.repo.epoch(),
-                        &WalOp::Publish {
-                            home: home.clone(),
-                            tag,
-                            cred: (**cred).clone(),
-                        },
-                    ),
-                    RepoEvent::PurgedExpired { now, .. } => {
-                        encode_payload(d.repo.epoch(), &WalOp::PurgeExpired { now })
-                    }
-                };
-                d.log_payload(&payload);
-            })));
-            let d = durable.clone();
-            bus.set_observer(Some(Arc::new(move |ids: &[String]| {
-                // One Revoke record per id: the single-log format predates
-                // RevokeBatch and old logs must keep scanning identically.
-                for id in ids {
-                    let payload = encode_payload(d.repo.epoch(), &WalOp::Revoke { id: id.clone() });
-                    d.log_payload(&payload);
-                }
-            })));
-        }
-        Ok((durable, report))
-    }
-
-    fn log_payload(&self, payload: &[u8]) {
-        match self.inner.append(payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact() {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("auto-compaction failed: {e}"))
-                    .commit();
-                }
-            }
-            Ok(false) => {}
-            Err(e) => {
-                // The in-memory mutation already happened; all we can do
-                // is surface the durability gap loudly.
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("append failed: {e}"))
-                .commit();
-            }
-        }
-    }
-
-    /// The in-memory repository (shared handle). Mutations through it are
-    /// logged transparently.
-    pub fn repository(&self) -> &Repository {
-        &self.repo
-    }
-
-    /// The revocation bus (shared handle). Revocations through it are
-    /// logged transparently.
-    pub fn bus(&self) -> &RevocationBus {
-        &self.bus
-    }
-
-    /// The durable directory this repository logs to.
-    pub fn dir(&self) -> &Path {
-        &self.inner.dir
-    }
-
-    /// Force an fsync of the log regardless of policy.
-    pub fn sync(&self) -> std::io::Result<()> {
-        let mut w = self.inner.writer.lock();
-        w.file.sync_data()?;
-        w.unsynced = 0;
-        self.inner.fsyncs.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.fsyncs").inc();
-        Ok(())
-    }
-
-    /// Snapshot the full repository + revocation state and truncate the
-    /// log: write `snapshot.tmp`, fsync, rename over `snapshot.bin`,
-    /// fsync the directory, then truncate the log to zero. A crash at any
-    /// point leaves a recoverable directory (the snapshot/log overlap
-    /// after an un-truncated rename is absorbed by replay dedup).
-    pub fn compact(&self) -> std::io::Result<CompactReport> {
-        // Writer lock held for the whole operation: no appends interleave
-        // with the truncate. Observers fire outside repository locks, so
-        // reading snapshot state here cannot deadlock with a publisher.
-        let mut w = self.inner.writer.lock();
-        let entries = self.repo.snapshot_entries();
-        let revoked = self.bus.revoked_ids();
-        let image = encode_snapshot(self.repo.epoch(), &entries, &revoked);
-
-        let tmp = self.inner.dir.join(SNAPSHOT_TMP);
-        let dst = self.inner.dir.join(SNAPSHOT_FILE);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(&image)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &dst)?;
-        if let Ok(d) = File::open(&self.inner.dir) {
-            let _ = d.sync_all(); // directory entry durability (best effort)
-        }
-
-        let dropped = w.file.seek(SeekFrom::End(0))?;
-        w.file.set_len(0)?;
-        w.file.seek(SeekFrom::Start(0))?;
-        w.file.sync_data()?;
-        w.unsynced = 0;
-        w.appends_since_compact = 0;
-
-        self.inner.compactions.fetch_add(1, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: entries.len(),
-            snapshot_revocations: revoked.len(),
-            log_bytes_dropped: dropped,
-        })
-    }
-
-    /// Live durability counters + current file sizes.
-    pub fn stats(&self) -> WalStats {
-        let log_bytes = std::fs::metadata(self.inner.dir.join(LOG_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        let snapshot_bytes = std::fs::metadata(self.inner.dir.join(SNAPSHOT_FILE))
-            .map(|m| m.len())
-            .unwrap_or(0);
-        WalStats {
-            appends: self.inner.appends.load(Ordering::Relaxed),
-            fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
-            compactions: self.inner.compactions.load(Ordering::Relaxed),
-            log_bytes,
-            snapshot_bytes,
-        }
-    }
-
-    /// Detach the logging observers (used by tests simulating a crash:
-    /// the files stay as-is, the in-memory halves keep working unlogged).
-    pub fn detach(&self) {
-        self.repo.set_observer(None);
-        self.bus.set_observer(None);
+impl RecoveryReport {
+    /// Add one segment's report into a directory total; `epoch` keeps the
+    /// maximum.
+    fn absorb(&mut self, seg: &RecoveryReport) {
+        self.snapshot_entries += seg.snapshot_entries;
+        self.snapshot_revocations += seg.snapshot_revocations;
+        self.snapshot_corrupt |= seg.snapshot_corrupt;
+        self.records_replayed += seg.records_replayed;
+        self.publishes += seg.publishes;
+        self.revocations_restored += seg.revocations_restored;
+        self.purges += seg.purges;
+        self.duplicates_skipped += seg.duplicates_skipped;
+        self.truncated_bytes += seg.truncated_bytes;
+        self.log_bytes += seg.log_bytes;
+        self.epoch = self.epoch.max(seg.epoch);
     }
 }
 
 // ---------------------------------------------------------------------------
-// Sharded layout
+// Directory layout
 // ---------------------------------------------------------------------------
 
-/// Directory name of log-segment `i` inside a sharded durable directory.
+/// Directory name of log-segment `i` inside a durable directory.
 pub fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:02}")
 }
 
-/// Whether `dir` holds a sharded durable layout (a `shards.meta`
-/// manifest). `psf repo` and `psf chaos` use this to pick the recovery
-/// path without being told.
-pub fn is_sharded_dir(dir: &Path) -> bool {
-    dir.join(SHARD_META_FILE).is_file()
+/// Every segment directory of a `shards`-shard layout: the shard segments
+/// in shard order, then the bus segment.
+pub fn segment_dirs(dir: &Path, shards: usize) -> Vec<PathBuf> {
+    (0..shards)
+        .map(|i| dir.join(shard_dir_name(i)))
+        .chain(std::iter::once(dir.join(BUS_DIR)))
+        .collect()
 }
 
 fn write_shard_meta(dir: &Path, shards: usize) -> std::io::Result<()> {
@@ -1002,29 +617,321 @@ fn write_shard_meta(dir: &Path, shards: usize) -> std::io::Result<()> {
     std::fs::rename(&tmp, dir.join(SHARD_META_FILE))
 }
 
+/// The shard count recorded in `dir/shards.meta`, or `None` when `dir`
+/// holds no durable repository yet. A directory in the retired
+/// single-log layout is an error rather than an empty directory: opening
+/// it fresh would silently drop its revocations.
 fn read_shard_meta(dir: &Path) -> std::io::Result<Option<usize>> {
+    let bad = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
     let buf = match std::fs::read(dir.join(SHARD_META_FILE)) {
         Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            if dir.join(LOG_FILE).is_file() || dir.join(SNAPSHOT_FILE).is_file() {
+                return Err(bad(format!(
+                    "{}: single-log layout (top-level {LOG_FILE} or {SNAPSHOT_FILE} \
+                     without {SHARD_META_FILE}) is no longer supported and is not migrated",
+                    dir.display()
+                )));
+            }
+            return Ok(None);
+        }
         Err(e) => return Err(e),
     };
-    let bad = |msg: &str| std::io::Error::new(std::io::ErrorKind::InvalidData, msg.to_string());
     if buf.len() != SHARD_META_MAGIC.len() + 8 {
-        return Err(bad("shards.meta: wrong size"));
+        return Err(bad("shards.meta: wrong size".into()));
     }
     let (body, crc_bytes) = buf.split_at(buf.len() - 4);
     if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-        return Err(bad("shards.meta: checksum mismatch"));
+        return Err(bad("shards.meta: checksum mismatch".into()));
     }
     if &body[..SHARD_META_MAGIC.len()] != SHARD_META_MAGIC {
-        return Err(bad("shards.meta: bad magic"));
+        return Err(bad("shards.meta: bad magic".into()));
     }
     let n = u32::from_le_bytes(body[SHARD_META_MAGIC.len()..].try_into().unwrap()) as usize;
     if n == 0 || n > 1024 || !n.is_power_of_two() {
-        return Err(bad("shards.meta: implausible shard count"));
+        return Err(bad("shards.meta: implausible shard count".into()));
     }
     Ok(Some(n))
 }
+
+/// [`read_shard_meta`] for the read-only paths, which need an existing
+/// directory.
+fn require_shard_meta(dir: &Path) -> std::io::Result<usize> {
+    read_shard_meta(dir)?.ok_or_else(|| {
+        std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            format!(
+                "{}: no {SHARD_META_FILE}: not a durable repository directory",
+                dir.display()
+            ),
+        )
+    })
+}
+
+// ---------------------------------------------------------------------------
+// Reading, verifying and replaying segments
+// ---------------------------------------------------------------------------
+
+/// A segment's snapshot and the scan of its log, read without modifying
+/// either.
+fn read_segment(seg_dir: &Path) -> std::io::Result<(SnapshotLoad, LogScan)> {
+    let snapshot = load_snapshot(&seg_dir.join(SNAPSHOT_FILE))?;
+    let log = match std::fs::read(seg_dir.join(LOG_FILE)) {
+        Ok(buf) => buf,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(e),
+    };
+    Ok((snapshot, scan_log(&log)))
+}
+
+fn verify_segment(seg_dir: &Path) -> std::io::Result<VerifyReport> {
+    let (snapshot, scan) = read_segment(seg_dir)?;
+    let (snapshot_present, snapshot_corrupt, snapshot_entries, snapshot_revocations) =
+        match snapshot {
+            SnapshotLoad::Missing => (false, false, 0, 0),
+            SnapshotLoad::Corrupt(_) => (true, true, 0, 0),
+            SnapshotLoad::Loaded(s) => (true, false, s.entries.len(), s.revoked.len()),
+        };
+    Ok(VerifyReport {
+        snapshot_present,
+        snapshot_corrupt,
+        snapshot_entries,
+        snapshot_revocations,
+        log_records: scan.records.len(),
+        valid_bytes: scan.valid_bytes,
+        truncated_bytes: scan.truncated_bytes,
+        corruption: scan.corruption,
+    })
+}
+
+/// Per-segment durability stats inside a [`ShardedWalStats`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardSegmentStats {
+    /// Records appended to this segment since open.
+    pub appends: u64,
+    /// Compactions of this segment since open.
+    pub compactions: u64,
+    /// Repository epoch at this segment's last compaction (0 = never).
+    pub last_compact_epoch: u64,
+    /// Current segment log size in bytes (excluding unflushed buffer).
+    pub log_bytes: u64,
+    /// Current segment snapshot size in bytes (0 when absent).
+    pub snapshot_bytes: u64,
+}
+
+/// Live counters for a [`ShardedDurableRepository`].
+#[derive(Debug, Clone, Default)]
+pub struct ShardedWalStats {
+    /// One row per repository shard segment, in shard order.
+    pub shards: Vec<ShardSegmentStats>,
+    /// The revocation-bus segment.
+    pub bus: ShardSegmentStats,
+    /// Total records appended since open (all segments).
+    pub appends: u64,
+    /// Explicit fsyncs issued since open (all segments).
+    pub fsyncs: u64,
+    /// Total compactions since open (all segments).
+    pub compactions: u64,
+}
+
+/// Read-only integrity report over a durable directory.
+#[derive(Debug, Clone)]
+pub struct ShardedVerifyReport {
+    /// Per-shard segment reports, in shard order.
+    pub shards: Vec<VerifyReport>,
+    /// The revocation-bus segment report.
+    pub bus: VerifyReport,
+}
+
+impl ShardedVerifyReport {
+    /// True when **every** segment recovers with zero data loss.
+    pub fn is_clean(&self) -> bool {
+        self.shards.iter().all(|s| s.is_clean()) && self.bus.is_clean()
+    }
+
+    /// Indices of shard segments that are damaged (torn tail or corrupt
+    /// snapshot); `usize::MAX` marks the bus segment.
+    pub fn damaged(&self) -> Vec<usize> {
+        let mut out: Vec<usize> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| !s.is_clean())
+            .map(|(i, _)| i)
+            .collect();
+        if !self.bus.is_clean() {
+            out.push(usize::MAX);
+        }
+        out
+    }
+}
+
+/// Read-only integrity check of every segment of a durable directory —
+/// scans snapshots and logs without replaying or modifying anything.
+/// Backs `psf repo --verify`.
+pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
+    let n = require_shard_meta(dir)?;
+    let mut shards = segment_dirs(dir, n)
+        .iter()
+        .map(|d| verify_segment(d))
+        .collect::<std::io::Result<Vec<_>>>()?;
+    let bus = shards.pop().expect("the bus segment is listed last");
+    Ok(ShardedVerifyReport { shards, bus })
+}
+
+/// Replay one segment into `repo`/`bus`: its snapshot, then its log. Each
+/// record goes where its kind belongs, whichever segment holds it:
+/// publishes route to their home shard by subject hash (same FNV, same
+/// count — guaranteed by `shards.meta`), revocations to the bus, and
+/// purges to `purge_shards`, the shards this segment logs for. A purge is
+/// replicated to every shard segment and applied shard-locally, so it
+/// re-applies exactly once per shard regardless of replay interleaving.
+/// The returned report's `epoch` is the highest epoch tag seen.
+fn replay_segment(
+    seg_dir: &Path,
+    purge_shards: std::ops::Range<usize>,
+    repo: &Repository,
+    bus: &RevocationBus,
+) -> std::io::Result<RecoveryReport> {
+    let mut out = RecoveryReport::default();
+    // (home, credential-id) → expiry, for every pair currently applied —
+    // dedup for snapshot/log overlap and replayed double-publishes. A
+    // replayed purge *removes* expired pairs, so a later re-publish of a
+    // purged credential is applied rather than mistaken for a duplicate.
+    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
+    let (snapshot, scan) = read_segment(seg_dir)?;
+    match snapshot {
+        SnapshotLoad::Missing => {}
+        SnapshotLoad::Corrupt(reason) => {
+            out.snapshot_corrupt = true;
+            psf_telemetry::audit::record(
+                psf_telemetry::Decision::Revocation,
+                "",
+                "wal-snapshot",
+                psf_telemetry::Verdict::Deny,
+            )
+            .detail(format!(
+                "segment {} snapshot ignored: {reason}",
+                seg_dir.display()
+            ))
+            .commit();
+        }
+        SnapshotLoad::Loaded(snap) => {
+            out.epoch = snap.epoch;
+            for (home, tag, cred) in snap.entries {
+                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
+                repo.publish(home, cred, tag);
+                out.snapshot_entries += 1;
+            }
+            out.snapshot_revocations = snap.revoked.len();
+            out.revocations_restored += bus.restore(&snap.revoked);
+        }
+    }
+    for rec in &scan.records {
+        out.epoch = out.epoch.max(rec.epoch);
+        match &rec.op {
+            WalOp::Publish { home, tag, cred } => {
+                use std::collections::hash_map::Entry;
+                match seen.entry((home.0.clone(), cred.id())) {
+                    Entry::Occupied(_) => out.duplicates_skipped += 1,
+                    Entry::Vacant(v) => {
+                        v.insert(cred.body.expires);
+                        repo.publish(home.clone(), cred.clone(), *tag);
+                        out.publishes += 1;
+                    }
+                }
+            }
+            WalOp::Revoke { id } => {
+                out.revocations_restored += bus.restore([id.as_str()]);
+            }
+            WalOp::RevokeBatch { ids } => {
+                out.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
+            }
+            WalOp::PurgeExpired { now } => {
+                for shard in purge_shards.clone() {
+                    repo.purge_expired_shard(shard, *now);
+                }
+                out.purges += 1;
+                seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
+            }
+        }
+    }
+    out.records_replayed = scan.records.len();
+    out.log_bytes = scan.valid_bytes;
+    out.truncated_bytes = scan.truncated_bytes;
+    Ok(out)
+}
+
+/// Replay every segment of a durable directory into `repo`/`bus` on a
+/// worker pool (one credential set is wholly contained in one segment, so
+/// segment replays are independent). Returns the aggregate report and the
+/// per-segment reports (shard order, bus last).
+fn replay_sharded(
+    dir: &Path,
+    shards: usize,
+    repo: &Repository,
+    bus: &RevocationBus,
+) -> std::io::Result<(RecoveryReport, Vec<RecoveryReport>)> {
+    use std::sync::atomic::AtomicUsize;
+    let dirs = segment_dirs(dir, shards);
+    let workers = std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(dirs.len());
+    let next = AtomicUsize::new(0);
+    let results: Mutex<Vec<Option<std::io::Result<RecoveryReport>>>> =
+        Mutex::new(dirs.iter().map(|_| None).collect());
+    std::thread::scope(|s| {
+        for _ in 0..workers {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(seg_dir) = dirs.get(i) else { break };
+                // Segment i logs purges for shard i; the bus segment
+                // (i == shards) logs for none.
+                let r = replay_segment(seg_dir, i..(i + 1).min(shards), repo, bus);
+                results.lock()[i] = Some(r);
+            });
+        }
+    });
+    let outcomes = results
+        .into_inner()
+        .into_iter()
+        .map(|r| r.expect("every segment visited exactly once"))
+        .collect::<std::io::Result<Vec<_>>>()?;
+
+    let mut report = RecoveryReport::default();
+    for o in &outcomes {
+        report.absorb(o);
+    }
+    // Epoch monotonicity across the crash: never below anything a cache
+    // may have pinned, and strictly above it so stale negative entries die.
+    repo.raise_epoch(report.epoch);
+    report.epoch = repo.bump_epoch();
+    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
+    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
+    Ok((report, outcomes))
+}
+
+impl Repository {
+    /// Rebuild a repository (and its revocation bus) from a durable
+    /// directory, read-only: every segment is scanned and replayed (in
+    /// parallel) but never modified — a torn tail is skipped, not
+    /// truncated. Use [`ShardedDurableRepository::open`] to recover *and*
+    /// keep logging.
+    pub fn recover_sharded(
+        dir: &Path,
+    ) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
+        let shards = require_shard_meta(dir)?;
+        let repo = Repository::with_shard_count(shards);
+        let bus = RevocationBus::new();
+        let (report, _) = replay_sharded(dir, shards, &repo, &bus)?;
+        Ok((repo, bus, report))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writable segments
+// ---------------------------------------------------------------------------
 
 /// Group-commit buffer threshold: under [`FsyncPolicy::Never`] a segment
 /// buffers frames in memory and issues one `write(2)` per this many
@@ -1070,7 +977,9 @@ struct Segment {
 }
 
 impl Segment {
-    fn open(dir: PathBuf) -> std::io::Result<Segment> {
+    /// Open a segment for appending after `replay` scanned it, physically
+    /// dropping any torn tail so appends start at a record boundary.
+    fn open(dir: PathBuf, replay: &RecoveryReport) -> std::io::Result<Segment> {
         std::fs::create_dir_all(&dir)?;
         let mut file = OpenOptions::new()
             .read(true)
@@ -1078,6 +987,10 @@ impl Segment {
             .create(true)
             .truncate(false)
             .open(dir.join(LOG_FILE))?;
+        if replay.truncated_bytes > 0 {
+            file.set_len(replay.log_bytes)?;
+            file.sync_data()?;
+        }
         file.seek(SeekFrom::End(0))?;
         let sync_file = file.try_clone()?;
         Ok(Segment {
@@ -1097,306 +1010,52 @@ impl Segment {
             last_compact_epoch: AtomicU64::new(0),
         })
     }
-}
 
-/// Per-segment durability stats inside a [`ShardedWalStats`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardSegmentStats {
-    /// Records appended to this segment since open.
-    pub appends: u64,
-    /// Compactions of this segment since open.
-    pub compactions: u64,
-    /// Repository epoch at this segment's last compaction (0 = never).
-    pub last_compact_epoch: u64,
-    /// Current segment log size in bytes (excluding unflushed buffer).
-    pub log_bytes: u64,
-    /// Current segment snapshot size in bytes (0 when absent).
-    pub snapshot_bytes: u64,
-}
-
-/// Live counters for a [`ShardedDurableRepository`].
-#[derive(Debug, Clone, Default)]
-pub struct ShardedWalStats {
-    /// One row per repository shard segment, in shard order.
-    pub shards: Vec<ShardSegmentStats>,
-    /// The revocation-bus segment.
-    pub bus: ShardSegmentStats,
-    /// Total records appended since open (all segments).
-    pub appends: u64,
-    /// Explicit fsyncs issued since open (all segments).
-    pub fsyncs: u64,
-    /// Total compactions since open (all segments).
-    pub compactions: u64,
-}
-
-/// Read-only integrity report over a sharded durable directory.
-#[derive(Debug, Clone)]
-pub struct ShardedVerifyReport {
-    /// Per-shard segment reports, in shard order.
-    pub shards: Vec<VerifyReport>,
-    /// The revocation-bus segment report.
-    pub bus: VerifyReport,
-}
-
-impl ShardedVerifyReport {
-    /// True when **every** segment recovers with zero data loss.
-    pub fn is_clean(&self) -> bool {
-        self.shards.iter().all(|s| s.is_clean()) && self.bus.is_clean()
-    }
-
-    /// Indices of shard segments that are damaged (torn tail or corrupt
-    /// snapshot); `usize::MAX` marks the bus segment.
-    pub fn damaged(&self) -> Vec<usize> {
-        let mut out: Vec<usize> = self
-            .shards
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| !s.is_clean())
-            .map(|(i, _)| i)
-            .collect();
-        if !self.bus.is_clean() {
-            out.push(usize::MAX);
+    /// Write `image` (taken at `epoch`) as the segment's snapshot (tmp +
+    /// fsync + rename + dir fsync), then truncate the segment log. The
+    /// caller holds the writer lock `w` so no append interleaves with the
+    /// truncate. Returns the log bytes dropped.
+    fn swap_snapshot(
+        &self,
+        w: &mut SegmentWriter,
+        epoch: u64,
+        image: &[u8],
+    ) -> std::io::Result<u64> {
+        w.flush()?;
+        let tmp = self.dir.join(SNAPSHOT_TMP);
+        {
+            let mut f = File::create(&tmp)?;
+            f.write_all(image)?;
+            f.sync_data()?;
         }
-        out
-    }
-}
-
-/// Read-only integrity check of every segment of a sharded durable
-/// directory. Backs `psf repo --verify` for sharded layouts.
-pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
-    let n = read_shard_meta(dir)?.ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::NotFound,
-            "no shards.meta: not a sharded dir",
-        )
-    })?;
-    let mut shards = Vec::with_capacity(n);
-    for i in 0..n {
-        shards.push(verify_dir(&dir.join(shard_dir_name(i)))?);
-    }
-    let bus = verify_dir(&dir.join(BUS_DIR))?;
-    Ok(ShardedVerifyReport { shards, bus })
-}
-
-/// Outcome of replaying one segment (partial [`RecoveryReport`] fields
-/// plus what open() needs to truncate torn tails).
-#[derive(Default)]
-struct SegmentReplay {
-    snapshot_entries: usize,
-    snapshot_revocations: usize,
-    snapshot_corrupt: bool,
-    records_replayed: usize,
-    publishes: usize,
-    revocations_restored: usize,
-    purges: usize,
-    duplicates_skipped: usize,
-    max_epoch: u64,
-    valid_bytes: u64,
-    truncated_bytes: u64,
-}
-
-/// Replay one shard segment into `repo`. Publishes route back to their
-/// home shard by subject hash (same FNV, same count — guaranteed by
-/// construction); purge records are applied to **this shard only**, so a
-/// purge replicated to N segments re-applies exactly once per shard
-/// regardless of replay interleaving.
-fn replay_shard_segment(
-    seg_dir: &Path,
-    shard: usize,
-    repo: &Repository,
-) -> std::io::Result<SegmentReplay> {
-    let mut out = SegmentReplay::default();
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
-
-    match load_snapshot(&seg_dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            out.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("shard {shard} snapshot ignored: {reason}"))
-            .commit();
+        std::fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
+        if let Ok(d) = File::open(&self.dir) {
+            let _ = d.sync_all(); // directory entry durability (best effort)
         }
-        SnapshotLoad::Loaded(snap) => {
-            out.max_epoch = out.max_epoch.max(snap.epoch);
-            for (home, tag, cred) in snap.entries {
-                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
-                repo.publish(home, cred, tag);
-                out.snapshot_entries += 1;
-            }
-            // Shard snapshots carry no revocations (those live in the bus
-            // segment), but tolerate them for forward compatibility.
-            out.snapshot_revocations = snap.revoked.len();
-        }
+        let dropped = w.file.seek(SeekFrom::End(0))?;
+        w.file.set_len(0)?;
+        w.file.seek(SeekFrom::Start(0))?;
+        w.file.sync_data()?;
+        w.appends_since_compact = 0;
+        self.compactions.fetch_add(1, Ordering::Relaxed);
+        self.last_compact_epoch.store(epoch, Ordering::Relaxed);
+        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
+        Ok(dropped)
     }
 
-    let log_image = match std::fs::read(seg_dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        out.max_epoch = out.max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Publish { home, tag, cred } => {
-                use std::collections::hash_map::Entry;
-                match seen.entry((home.0.clone(), cred.id())) {
-                    Entry::Occupied(_) => out.duplicates_skipped += 1,
-                    Entry::Vacant(v) => {
-                        v.insert(cred.body.expires);
-                        repo.publish(home.clone(), cred.clone(), *tag);
-                        out.publishes += 1;
-                    }
-                }
-            }
-            WalOp::PurgeExpired { now } => {
-                repo.purge_expired_shard(shard, *now);
-                out.purges += 1;
-                seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
-            }
-            // Revocations never land in shard segments; skip defensively.
-            WalOp::Revoke { .. } | WalOp::RevokeBatch { .. } => {}
+    fn stats(&self) -> ShardSegmentStats {
+        let size = |name: &str| {
+            std::fs::metadata(self.dir.join(name))
+                .map(|m| m.len())
+                .unwrap_or(0)
+        };
+        ShardSegmentStats {
+            appends: self.appends.load(Ordering::Relaxed),
+            compactions: self.compactions.load(Ordering::Relaxed),
+            last_compact_epoch: self.last_compact_epoch.load(Ordering::Relaxed),
+            log_bytes: size(LOG_FILE),
+            snapshot_bytes: size(SNAPSHOT_FILE),
         }
-    }
-    out.records_replayed = scan.records.len();
-    out.valid_bytes = scan.valid_bytes;
-    out.truncated_bytes = scan.truncated_bytes;
-    Ok(out)
-}
-
-/// Replay the revocation-bus segment into `bus`.
-fn replay_bus_segment(seg_dir: &Path, bus: &RevocationBus) -> std::io::Result<SegmentReplay> {
-    let mut out = SegmentReplay::default();
-    match load_snapshot(&seg_dir.join(SNAPSHOT_FILE))? {
-        SnapshotLoad::Missing => {}
-        SnapshotLoad::Corrupt(reason) => {
-            out.snapshot_corrupt = true;
-            psf_telemetry::audit::record(
-                psf_telemetry::Decision::Revocation,
-                "",
-                "wal-snapshot",
-                psf_telemetry::Verdict::Deny,
-            )
-            .detail(format!("bus snapshot ignored: {reason}"))
-            .commit();
-        }
-        SnapshotLoad::Loaded(snap) => {
-            out.max_epoch = out.max_epoch.max(snap.epoch);
-            out.snapshot_revocations = snap.revoked.len();
-            out.revocations_restored += bus.restore(&snap.revoked);
-        }
-    }
-    let log_image = match std::fs::read(seg_dir.join(LOG_FILE)) {
-        Ok(buf) => buf,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
-        Err(e) => return Err(e),
-    };
-    let scan = scan_log(&log_image);
-    for rec in &scan.records {
-        out.max_epoch = out.max_epoch.max(rec.epoch);
-        match &rec.op {
-            WalOp::Revoke { id } => {
-                out.revocations_restored += bus.restore([id.as_str()]);
-            }
-            WalOp::RevokeBatch { ids } => {
-                out.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
-            }
-            WalOp::Publish { .. } | WalOp::PurgeExpired { .. } => {}
-        }
-    }
-    out.records_replayed = scan.records.len();
-    out.valid_bytes = scan.valid_bytes;
-    out.truncated_bytes = scan.truncated_bytes;
-    Ok(out)
-}
-
-/// Replay every segment of a sharded directory into `repo`/`bus`. Shard
-/// segments run on a worker pool (one credential set is wholly contained
-/// in one segment, so shard replays are independent); the bus segment
-/// replays on the calling thread. Returns the aggregate report and the
-/// per-segment outcomes (shard order, bus last).
-fn replay_sharded(
-    dir: &Path,
-    shards: usize,
-    repo: &Repository,
-    bus: &RevocationBus,
-) -> std::io::Result<(RecoveryReport, Vec<SegmentReplay>)> {
-    use std::sync::atomic::AtomicUsize;
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(shards)
-        .max(1);
-    let next = AtomicUsize::new(0);
-    let results: Mutex<Vec<(usize, std::io::Result<SegmentReplay>)>> =
-        Mutex::new(Vec::with_capacity(shards));
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= shards {
-                    break;
-                }
-                let r = replay_shard_segment(&dir.join(shard_dir_name(i)), i, repo);
-                results.lock().push((i, r));
-            });
-        }
-    });
-    let mut by_shard: Vec<Option<SegmentReplay>> = (0..shards).map(|_| None).collect();
-    for (i, r) in results.into_inner() {
-        by_shard[i] = Some(r?);
-    }
-    let mut outcomes: Vec<SegmentReplay> = by_shard
-        .into_iter()
-        .map(|o| o.expect("every shard index visited exactly once"))
-        .collect();
-    outcomes.push(replay_bus_segment(&dir.join(BUS_DIR), bus)?);
-
-    let mut report = RecoveryReport::default();
-    let mut max_epoch = 0u64;
-    for o in &outcomes {
-        report.snapshot_entries += o.snapshot_entries;
-        report.snapshot_revocations += o.snapshot_revocations;
-        report.snapshot_corrupt |= o.snapshot_corrupt;
-        report.records_replayed += o.records_replayed;
-        report.publishes += o.publishes;
-        report.revocations_restored += o.revocations_restored;
-        report.purges += o.purges;
-        report.duplicates_skipped += o.duplicates_skipped;
-        report.truncated_bytes += o.truncated_bytes;
-        report.log_bytes += o.valid_bytes;
-        max_epoch = max_epoch.max(o.max_epoch);
-    }
-    repo.raise_epoch(max_epoch);
-    report.epoch = repo.bump_epoch();
-    psf_telemetry::counter!("psf.repo.wal.replays").add(report.records_replayed as u64);
-    psf_telemetry::counter!("psf.repo.wal.truncated_bytes").add(report.truncated_bytes);
-    Ok((report, outcomes))
-}
-
-impl Repository {
-    /// Rebuild a repository (and its revocation bus) from a **sharded**
-    /// durable directory, read-only: every segment is scanned and
-    /// replayed (shards in parallel) but never modified. Use
-    /// [`ShardedDurableRepository::open`] to recover *and* keep logging.
-    pub fn recover_sharded(
-        dir: &Path,
-    ) -> std::io::Result<(Repository, RevocationBus, RecoveryReport)> {
-        let shards = read_shard_meta(dir)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::NotFound,
-                "no shards.meta: not a sharded dir",
-            )
-        })?;
-        let repo = Repository::with_shard_count(shards);
-        let bus = RevocationBus::new();
-        let (report, _) = replay_sharded(dir, shards, &repo, &bus)?;
-        Ok((repo, bus, report))
     }
 }
 
@@ -1409,14 +1068,18 @@ struct ShardedWalInner {
 }
 
 impl ShardedWalInner {
+    /// Every segment: shards in order, then the bus.
+    fn all_segments(&self) -> impl Iterator<Item = &Segment> {
+        self.segments
+            .iter()
+            .chain(std::iter::once(&self.bus_segment))
+    }
+
     /// Append one payload to a segment under group commit. Returns true
     /// when the segment crossed its auto-compaction threshold.
     fn append(&self, seg: &Segment, payload: &[u8]) -> std::io::Result<bool> {
         let mut w = seg.writer.lock();
-        w.buf
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        w.buf.extend_from_slice(&crc32(payload).to_le_bytes());
-        w.buf.extend_from_slice(payload);
+        put_frame(&mut w.buf, payload);
         w.buffered += 1;
         w.gen += 1;
         let my_gen = w.gen;
@@ -1485,28 +1148,87 @@ impl ShardedWalInner {
             seg.synced_gen.fetch_max(cover, Ordering::AcqRel);
         }
     }
+
+    /// Append `payload` to `seg`, running `compact` when the segment
+    /// crosses its auto-compaction threshold. The in-memory mutation has
+    /// already happened, so a failure can only be surfaced loudly: it is
+    /// counted and audit-logged.
+    fn log(
+        &self,
+        seg: &Segment,
+        payload: &[u8],
+        compact: impl FnOnce() -> std::io::Result<CompactReport>,
+    ) {
+        let (stage, result) = match self.append(seg, payload) {
+            Ok(false) => return,
+            Ok(true) => ("compact", compact().map(drop)),
+            Err(e) => ("append", Err(e)),
+        };
+        if let Err(e) = result {
+            psf_telemetry::counter!("psf.repo.wal.errors").inc();
+            psf_telemetry::audit::record(
+                psf_telemetry::Decision::Revocation,
+                "",
+                format!("wal-{stage}"),
+                psf_telemetry::Verdict::Deny,
+            )
+            .detail(format!("segment {} {stage} failed: {e}", seg.dir.display()))
+            .commit();
+        }
+    }
+
+    /// Compact one shard segment: snapshot that shard's credentials and
+    /// truncate its log. Other segments' writers are untouched.
+    fn compact_shard(&self, repo: &Repository, shard: usize) -> std::io::Result<CompactReport> {
+        let seg = &self.segments[shard];
+        let mut w = seg.writer.lock();
+        let entries = repo.snapshot_shard(shard);
+        let epoch = repo.epoch();
+        let dropped = seg.swap_snapshot(&mut w, epoch, &encode_snapshot(epoch, &entries, &[]))?;
+        Ok(CompactReport {
+            snapshot_entries: entries.len(),
+            snapshot_revocations: 0,
+            log_bytes_dropped: dropped,
+        })
+    }
+
+    /// Compact the bus segment: snapshot the revoked-id set (tagged with
+    /// the repository epoch `epoch`) and truncate the bus log.
+    fn compact_bus(&self, epoch: u64, bus: &RevocationBus) -> std::io::Result<CompactReport> {
+        let seg = &self.bus_segment;
+        let mut w = seg.writer.lock();
+        let revoked = bus.revoked_ids();
+        let dropped = seg.swap_snapshot(&mut w, epoch, &encode_snapshot(epoch, &[], &revoked))?;
+        Ok(CompactReport {
+            snapshot_entries: 0,
+            snapshot_revocations: revoked.len(),
+            log_bytes_dropped: dropped,
+        })
+    }
 }
 
 impl Drop for ShardedWalInner {
     fn drop(&mut self) {
         // Best-effort flush of group-commit buffers on clean shutdown;
         // a real crash loses them by design (see FsyncPolicy docs).
-        for seg in self
-            .segments
-            .iter()
-            .chain(std::iter::once(&self.bus_segment))
-        {
+        for seg in self.all_segments() {
             let _ = seg.writer.lock().flush();
         }
     }
 }
 
+// ---------------------------------------------------------------------------
+// ShardedDurableRepository
+// ---------------------------------------------------------------------------
+
 /// A sharded [`Repository`] + [`RevocationBus`] pair whose every mutation
 /// is appended to a per-shard crash-safe write-ahead log (see the module
-/// docs' *Sharded layout* section). Publishes log to their subject's
-/// shard segment only; revocations log to the bus segment (bulk revokes
-/// as one [`WalOp::RevokeBatch`] frame); purges are replicated to every
-/// shard segment and re-applied shard-locally at recovery.
+/// docs). The repository and bus are the ordinary in-memory types —
+/// guards, deployers, supervisors and proof engines use them unchanged;
+/// durability rides on their observer hooks. Publishes log to their
+/// subject's shard segment only; revocations log to the bus segment (bulk
+/// revokes as one [`WalOp::RevokeBatch`] frame); purges are replicated to
+/// every shard segment and re-applied shard-locally at recovery.
 #[derive(Clone)]
 pub struct ShardedDurableRepository {
     repo: Repository,
@@ -1515,11 +1237,12 @@ pub struct ShardedDurableRepository {
 }
 
 impl ShardedDurableRepository {
-    /// Open (or create) a sharded durable directory with `shards`
-    /// segments (rounded up to a power of two, clamped to `1..=1024`; an
-    /// existing directory's `shards.meta` takes precedence — the layout
-    /// on disk is authoritative). Replays every segment (shards in
-    /// parallel), truncates torn tails, then attaches logging observers.
+    /// Open (or create) a durable directory with `shards` segments
+    /// (rounded up to a power of two, clamped to `1..=1024`; an existing
+    /// directory's `shards.meta` takes precedence — the layout on disk is
+    /// authoritative). Replays every segment (in parallel), truncates torn
+    /// tails, then attaches logging observers. A directory in the retired
+    /// single-log layout fails with [`std::io::ErrorKind::InvalidData`].
     pub fn open(
         dir: &Path,
         shards: usize,
@@ -1537,33 +1260,14 @@ impl ShardedDurableRepository {
         let repo = Repository::with_shard_count(n);
         debug_assert_eq!(repo.shard_count(), n);
         let bus = RevocationBus::new();
-        for i in 0..n {
-            std::fs::create_dir_all(dir.join(shard_dir_name(i)))?;
-        }
-        std::fs::create_dir_all(dir.join(BUS_DIR))?;
         let (report, outcomes) = replay_sharded(dir, n, &repo, &bus)?;
 
-        let mut segments = Vec::with_capacity(n);
-        for (i, outcome) in outcomes.iter().take(n).enumerate() {
-            let seg = Segment::open(dir.join(shard_dir_name(i)))?;
-            if outcome.truncated_bytes > 0 {
-                let mut w = seg.writer.lock();
-                w.file.set_len(outcome.valid_bytes)?;
-                w.file.sync_data()?;
-                w.file.seek(SeekFrom::End(0))?;
-            }
-            segments.push(seg);
-        }
-        let bus_segment = Segment::open(dir.join(BUS_DIR))?;
-        if let Some(outcome) = outcomes.last() {
-            if outcome.truncated_bytes > 0 {
-                let mut w = bus_segment.writer.lock();
-                w.file.set_len(outcome.valid_bytes)?;
-                w.file.sync_data()?;
-                w.file.seek(SeekFrom::End(0))?;
-            }
-        }
-
+        let mut segments = segment_dirs(dir, n)
+            .into_iter()
+            .zip(&outcomes)
+            .map(|(seg_dir, replay)| Segment::open(seg_dir, replay))
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let bus_segment = segments.pop().expect("the bus segment is listed last");
         let inner = Arc::new(ShardedWalInner {
             dir: dir.to_path_buf(),
             config,
@@ -1571,103 +1275,53 @@ impl ShardedDurableRepository {
             bus_segment,
             fsyncs: AtomicU64::new(0),
         });
-        let durable = ShardedDurableRepository {
-            repo: repo.clone(),
-            bus: bus.clone(),
-            inner,
-        };
 
-        // Attach observers only now — replay must not re-log itself.
-        {
-            let d = durable.clone();
-            repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| match ev {
+        // Attach observers only now — replay must not re-log itself. The
+        // repository and bus own their observers, so an observer reaches
+        // the object it is registered on through a weak handle: a strong
+        // one would be a cycle, and the last handle's drop would never
+        // flush the group-commit buffers. The bus observer holds the
+        // repository (for its epoch) strongly; nothing the repository
+        // owns holds the bus, so that is no cycle.
+        let (wal, weak_repo) = (inner.clone(), repo.downgrade());
+        repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| {
+            let Some(repo) = weak_repo.upgrade() else {
+                return;
+            };
+            match ev {
                 RepoEvent::Published { home, cred, tag } => {
                     let skey = crate::repository::subject_key(&cred.body.subject);
-                    let shard = d.repo.shard_index(&skey);
-                    let payload = encode_publish_payload(d.repo.epoch(), home, tag, cred);
-                    d.log_to_shard(shard, &payload);
+                    let shard = repo.shard_index(&skey);
+                    let payload = encode_publish_payload(repo.epoch(), home, tag, cred);
+                    wal.log(&wal.segments[shard], &payload, || {
+                        wal.compact_shard(&repo, shard)
+                    });
                 }
                 RepoEvent::PurgedExpired { now, .. } => {
                     // Replicated to every shard: each segment must know to
                     // re-apply the purge to its own credentials at replay.
-                    let payload = encode_payload(d.repo.epoch(), &WalOp::PurgeExpired { now });
-                    for shard in 0..d.inner.segments.len() {
-                        d.log_to_shard(shard, &payload);
+                    let payload = encode_payload(repo.epoch(), &WalOp::PurgeExpired { now });
+                    for (shard, seg) in wal.segments.iter().enumerate() {
+                        wal.log(seg, &payload, || wal.compact_shard(&repo, shard));
                     }
                 }
-            })));
-            let d = durable.clone();
-            bus.set_observer(Some(Arc::new(move |ids: &[String]| {
-                let payload = match ids {
-                    [id] => encode_payload(d.repo.epoch(), &WalOp::Revoke { id: id.clone() }),
-                    many => {
-                        encode_payload(d.repo.epoch(), &WalOp::RevokeBatch { ids: many.to_vec() })
-                    }
-                };
-                d.log_bus(&payload);
-            })));
-        }
-        Ok((durable, report))
-    }
-
-    fn log_to_shard(&self, shard: usize, payload: &[u8]) {
-        match self.inner.append(&self.inner.segments[shard], payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact_shard(shard) {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("shard {shard} auto-compaction failed: {e}"))
-                    .commit();
-                }
             }
-            Ok(false) => {}
-            Err(e) => {
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("shard {shard} append failed: {e}"))
-                .commit();
-            }
-        }
-    }
-
-    fn log_bus(&self, payload: &[u8]) {
-        match self.inner.append(&self.inner.bus_segment, payload) {
-            Ok(true) => {
-                if let Err(e) = self.compact_bus() {
-                    psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                    psf_telemetry::audit::record(
-                        psf_telemetry::Decision::Revocation,
-                        "",
-                        "wal-compact",
-                        psf_telemetry::Verdict::Deny,
-                    )
-                    .detail(format!("bus auto-compaction failed: {e}"))
-                    .commit();
-                }
-            }
-            Ok(false) => {}
-            Err(e) => {
-                psf_telemetry::counter!("psf.repo.wal.errors").inc();
-                psf_telemetry::audit::record(
-                    psf_telemetry::Decision::Revocation,
-                    "",
-                    "wal-append",
-                    psf_telemetry::Verdict::Deny,
-                )
-                .detail(format!("bus append failed: {e}"))
-                .commit();
-            }
-        }
+        })));
+        let (wal, epoch_repo, weak_bus) = (inner.clone(), repo.clone(), bus.downgrade());
+        bus.set_observer(Some(Arc::new(move |ids: &[String]| {
+            let Some(bus) = weak_bus.upgrade() else {
+                return;
+            };
+            let epoch = epoch_repo.epoch();
+            let payload = match ids {
+                [id] => encode_payload(epoch, &WalOp::Revoke { id: id.clone() }),
+                many => encode_payload(epoch, &WalOp::RevokeBatch { ids: many.to_vec() }),
+            };
+            wal.log(&wal.bus_segment, &payload, || {
+                wal.compact_bus(epoch_repo.epoch(), &bus)
+            });
+        })));
+        Ok((ShardedDurableRepository { repo, bus, inner }, report))
     }
 
     /// The in-memory sharded repository (shared handle). Mutations
@@ -1682,7 +1336,7 @@ impl ShardedDurableRepository {
         &self.bus
     }
 
-    /// The sharded durable directory this repository logs to.
+    /// The durable directory this repository logs to.
     pub fn dir(&self) -> &Path {
         &self.inner.dir
     }
@@ -1690,12 +1344,7 @@ impl ShardedDurableRepository {
     /// Flush every segment's group-commit buffer and fsync, regardless of
     /// policy.
     pub fn sync(&self) -> std::io::Result<()> {
-        for seg in self
-            .inner
-            .segments
-            .iter()
-            .chain(std::iter::once(&self.inner.bus_segment))
-        {
+        for seg in self.inner.all_segments() {
             let mut w = seg.writer.lock();
             w.flush()?;
             let gen = w.gen;
@@ -1712,62 +1361,13 @@ impl ShardedDurableRepository {
     /// rename over its `snapshot.bin`, truncate its log. Other shards'
     /// writers are untouched.
     pub fn compact_shard(&self, shard: usize) -> std::io::Result<CompactReport> {
-        let seg = &self.inner.segments[shard];
-        let mut w = seg.writer.lock();
-        let entries = self.repo.snapshot_shard(shard);
-        let epoch = self.repo.epoch();
-        let image = encode_snapshot(epoch, &entries, &[]);
-        let dropped = Self::swap_snapshot(seg, &mut w, &image)?;
-        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: entries.len(),
-            snapshot_revocations: 0,
-            log_bytes_dropped: dropped,
-        })
+        self.inner.compact_shard(&self.repo, shard)
     }
 
     /// Compact the revocation-bus segment: snapshot the revoked-id set,
     /// truncate the bus log.
     pub fn compact_bus(&self) -> std::io::Result<CompactReport> {
-        let seg = &self.inner.bus_segment;
-        let mut w = seg.writer.lock();
-        let revoked = self.bus.revoked_ids();
-        let epoch = self.repo.epoch();
-        let image = encode_snapshot(epoch, &[], &revoked);
-        let dropped = Self::swap_snapshot(seg, &mut w, &image)?;
-        seg.last_compact_epoch.store(epoch, Ordering::Relaxed);
-        psf_telemetry::counter!("psf.repo.wal.snapshot").inc();
-        Ok(CompactReport {
-            snapshot_entries: 0,
-            snapshot_revocations: revoked.len(),
-            log_bytes_dropped: dropped,
-        })
-    }
-
-    /// Write `image` as the segment's snapshot (tmp + fsync + rename +
-    /// dir fsync), then truncate the segment log. The caller holds the
-    /// segment writer lock so no append interleaves with the truncate.
-    fn swap_snapshot(seg: &Segment, w: &mut SegmentWriter, image: &[u8]) -> std::io::Result<u64> {
-        w.flush()?;
-        let tmp = seg.dir.join(SNAPSHOT_TMP);
-        let dst = seg.dir.join(SNAPSHOT_FILE);
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(image)?;
-            f.sync_data()?;
-        }
-        std::fs::rename(&tmp, &dst)?;
-        if let Ok(d) = File::open(&seg.dir) {
-            let _ = d.sync_all(); // directory entry durability (best effort)
-        }
-        let dropped = w.file.seek(SeekFrom::End(0))?;
-        w.file.set_len(0)?;
-        w.file.seek(SeekFrom::Start(0))?;
-        w.file.sync_data()?;
-        w.appends_since_compact = 0;
-        seg.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(dropped)
+        self.inner.compact_bus(self.repo.epoch(), &self.bus)
     }
 
     /// Compact every shard segment and the bus segment. Returns the
@@ -1791,21 +1391,9 @@ impl ShardedDurableRepository {
 
     /// Live durability counters: per-segment rows plus totals.
     pub fn stats(&self) -> ShardedWalStats {
-        let row = |seg: &Segment| -> ShardSegmentStats {
-            ShardSegmentStats {
-                appends: seg.appends.load(Ordering::Relaxed),
-                compactions: seg.compactions.load(Ordering::Relaxed),
-                last_compact_epoch: seg.last_compact_epoch.load(Ordering::Relaxed),
-                log_bytes: std::fs::metadata(seg.dir.join(LOG_FILE))
-                    .map(|m| m.len())
-                    .unwrap_or(0),
-                snapshot_bytes: std::fs::metadata(seg.dir.join(SNAPSHOT_FILE))
-                    .map(|m| m.len())
-                    .unwrap_or(0),
-            }
-        };
-        let shards: Vec<ShardSegmentStats> = self.inner.segments.iter().map(row).collect();
-        let bus = row(&self.inner.bus_segment);
+        let shards: Vec<ShardSegmentStats> =
+            self.inner.segments.iter().map(Segment::stats).collect();
+        let bus = self.inner.bus_segment.stats();
         ShardedWalStats {
             appends: shards.iter().map(|s| s.appends).sum::<u64>() + bus.appends,
             fsyncs: self.inner.fsyncs.load(Ordering::Relaxed),
@@ -1817,8 +1405,8 @@ impl ShardedDurableRepository {
 
     /// Detach the logging observers (used by tests simulating a crash:
     /// the files stay as-is, the in-memory halves keep working unlogged).
-    /// Group-commit buffers are **not** flushed — that is the point of a
-    /// simulated crash.
+    /// Group-commit buffers are **not** flushed while a handle is alive —
+    /// that is the point of a simulated crash.
     pub fn detach(&self) {
         self.repo.set_observer(None);
         self.bus.set_observer(None);
@@ -1855,6 +1443,16 @@ mod tests {
         repo.all_credentials().iter().map(|c| c.id()).collect()
     }
 
+    /// Open `dir` as a one-shard durable directory at the default policy.
+    fn open_one(dir: &Path) -> (ShardedDurableRepository, RecoveryReport) {
+        ShardedDurableRepository::open(dir, 1, WalConfig::default()).unwrap()
+    }
+
+    /// The log of shard segment `shard`.
+    fn shard_log(dir: &Path, shard: usize) -> PathBuf {
+        dir.join(shard_dir_name(shard)).join(LOG_FILE)
+    }
+
     #[test]
     fn record_roundtrip_all_kinds() {
         let ny = Entity::with_seed("Comp.NY", b"wal");
@@ -1872,7 +1470,7 @@ mod tests {
         ];
         let mut log = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            log.extend_from_slice(&frame(&encode_payload(i as u64 + 7, op)));
+            put_frame(&mut log, &encode_payload(i as u64 + 7, op));
         }
         let scan = scan_log(&log);
         assert!(scan.corruption.is_none());
@@ -1889,7 +1487,9 @@ mod tests {
     #[test]
     fn empty_log_recovers_empty() {
         let dir = tmpdir("empty");
-        let (repo, bus, report) = Repository::recover(&dir).unwrap();
+        let (_, report) = open_one(&dir);
+        assert_eq!(report.records_replayed, 0);
+        let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
         assert!(repo.is_empty());
         assert_eq!(bus.revoked_count(), 0);
         assert_eq!(report.records_replayed, 0);
@@ -1904,12 +1504,12 @@ mod tests {
         let c = cred(&ny, &alice, "Member");
         let id = c.id();
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository().publish_at_issuer(c.clone());
             d.bus().revoke(&id);
-            d.detach(); // simulate crash: no clean shutdown path exists anyway
+            d.detach(); // simulate crash
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open_one(&dir);
         assert_eq!(report.records_replayed, 2);
         assert_eq!(report.publishes, 1);
         assert_eq!(report.revocations_restored, 1);
@@ -1927,19 +1527,19 @@ mod tests {
         let alice = Entity::with_seed("Alice", b"wal");
         let bob = Entity::with_seed("Bob", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Member"));
         }
         // Tear the log mid-record: append a partial frame.
-        let log = dir.join(LOG_FILE);
+        let log = shard_log(&dir, 0);
         let mut f = OpenOptions::new().append(true).open(&log).unwrap();
         f.write_all(&[0x44, 0x01, 0x00, 0x00, 0xde, 0xad]).unwrap();
         drop(f);
         let before = std::fs::metadata(&log).unwrap().len();
 
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open_one(&dir);
         assert_eq!(report.records_replayed, 2);
         assert_eq!(report.truncated_bytes, 6);
         assert_eq!(d2.repository().len(), 2);
@@ -1955,13 +1555,13 @@ mod tests {
         let alice = Entity::with_seed("Alice", b"wal");
         let bob = Entity::with_seed("Bob", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Member"));
             d.repository().publish_at_issuer(cred(&ny, &bob, "Partner"));
         }
-        let log = dir.join(LOG_FILE);
+        let log = shard_log(&dir, 0);
         let mut image = std::fs::read(&log).unwrap();
         let scan = scan_log(&image);
         assert_eq!(scan.records.len(), 3);
@@ -1970,16 +1570,18 @@ mod tests {
         image[off] ^= 0xff;
         std::fs::write(&log, &image).unwrap();
 
-        let verify = verify_dir(&dir).unwrap();
-        assert_eq!(verify.log_records, 1);
-        assert!(verify.truncated_bytes > 0);
+        let verify = verify_sharded_dir(&dir).unwrap();
         assert!(!verify.is_clean());
-        assert!(verify.corruption.unwrap().contains("checksum"));
+        assert_eq!(verify.damaged(), vec![0]);
+        let shard = &verify.shards[0];
+        assert_eq!(shard.log_records, 1);
+        assert!(shard.truncated_bytes > 0);
+        assert!(shard.corruption.as_deref().unwrap().contains("checksum"));
 
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(report.records_replayed, 1);
         assert_eq!(repo.len(), 1);
-        // recover() is read-only: the corrupt image is untouched.
+        // recover_sharded() is read-only: the corrupt image is untouched.
         assert_eq!(std::fs::read(&log).unwrap(), image);
     }
 
@@ -1993,7 +1595,7 @@ mod tests {
         let c_alice = cred(&ny, &alice, "Member");
         let revoked_id;
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository().publish_at_issuer(c_alice.clone());
             let c_bob = cred(&ny, &bob, "Member");
             revoked_id = c_bob.id();
@@ -2002,12 +1604,12 @@ mod tests {
             let r = d.compact().unwrap();
             assert_eq!(r.snapshot_entries, 2);
             assert_eq!(r.snapshot_revocations, 1);
-            assert_eq!(std::fs::metadata(dir.join(LOG_FILE)).unwrap().len(), 0);
+            assert_eq!(std::fs::metadata(shard_log(&dir, 0)).unwrap().len(), 0);
             // Tail after the snapshot.
             d.repository()
                 .publish_at_issuer(cred(&ny, &carol, "Partner"));
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open_one(&dir);
         assert_eq!(report.snapshot_entries, 2);
         assert_eq!(report.snapshot_revocations, 1);
         assert_eq!(report.records_replayed, 1);
@@ -2028,15 +1630,15 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
-            let log_before = std::fs::read(dir.join(LOG_FILE)).unwrap();
+            let log_before = std::fs::read(shard_log(&dir, 0)).unwrap();
             d.compact().unwrap();
             // Put the pre-compaction log back (the "un-truncated" state).
-            std::fs::write(dir.join(LOG_FILE), &log_before).unwrap();
+            std::fs::write(shard_log(&dir, 0), &log_before).unwrap();
         }
-        let (d2, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d2, report) = open_one(&dir);
         assert_eq!(report.snapshot_entries, 1);
         assert_eq!(report.duplicates_skipped, 1);
         assert_eq!(d2.repository().len(), 1, "no double-publish");
@@ -2048,21 +1650,24 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             d.compact().unwrap();
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Partner"));
         }
-        // Corrupt the snapshot body.
-        let snap = dir.join(SNAPSHOT_FILE);
+        // Corrupt the shard segment's snapshot body.
+        let snap = dir.join(shard_dir_name(0)).join(SNAPSHOT_FILE);
         let mut image = std::fs::read(&snap).unwrap();
         let mid = image.len() / 2;
         image[mid] ^= 0xff;
         std::fs::write(&snap, &image).unwrap();
 
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let verify = verify_sharded_dir(&dir).unwrap();
+        assert!(verify.shards[0].snapshot_corrupt);
+        assert!(!verify.is_clean());
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert!(report.snapshot_corrupt);
         assert_eq!(report.snapshot_entries, 0);
         // Only the post-compaction tail survives — the report says so.
@@ -2076,7 +1681,7 @@ mod tests {
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             let doomed = DelegationBuilder::new(&ny)
@@ -2087,7 +1692,7 @@ mod tests {
             d.repository().publish_at_issuer(doomed);
             assert_eq!(d.repository().purge_expired(200), 1);
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(report.purges, 1);
         assert_eq!(repo.len(), 1);
     }
@@ -2099,12 +1704,12 @@ mod tests {
         let alice = Entity::with_seed("Alice", b"wal");
         let logged_epoch;
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             d.repository()
                 .publish_at_issuer(cred(&ny, &alice, "Member"));
             logged_epoch = d.repository().epoch();
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert!(
             report.epoch > logged_epoch,
             "epoch {} must exceed pre-crash {}",
@@ -2128,7 +1733,7 @@ mod tests {
                 auto_compact_appends: None,
             };
             {
-                let (d, _) = DurableRepository::open(&dir, cfg).unwrap();
+                let (d, _) = ShardedDurableRepository::open(&dir, 1, cfg).unwrap();
                 for i in 0..5 {
                     let who = Entity::with_seed(format!("U{i}"), b"wal");
                     d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
@@ -2140,8 +1745,8 @@ mod tests {
                     FsyncPolicy::EveryN(3) => assert_eq!(stats.fsyncs, 1),
                     _ => assert_eq!(stats.fsyncs, 0),
                 }
-            }
-            let (repo, _, _) = Repository::recover(&dir).unwrap();
+            } // dropping the last handle flushes what the policy buffered
+            let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
             assert_eq!(repo.len(), 5, "policy {policy:?}");
         }
     }
@@ -2156,7 +1761,7 @@ mod tests {
         };
         let oracle_ids;
         {
-            let (d, _) = DurableRepository::open(&dir, cfg).unwrap();
+            let (d, _) = ShardedDurableRepository::open(&dir, 1, cfg).unwrap();
             for i in 0..10 {
                 let who = Entity::with_seed(format!("U{i}"), b"wal");
                 d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
@@ -2164,7 +1769,7 @@ mod tests {
             assert!(d.stats().compactions >= 2, "10 appends / threshold 4");
             oracle_ids = repo_fingerprint(d.repository());
         }
-        let (repo, _, _) = Repository::recover(&dir).unwrap();
+        let (repo, _, _) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(repo_fingerprint(&repo), oracle_ids);
     }
 
@@ -2175,7 +1780,7 @@ mod tests {
         let oracle_repo = Repository::new();
         let oracle_bus = RevocationBus::new();
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) = open_one(&dir);
             for i in 0..6 {
                 let who = Entity::with_seed(format!("U{i}"), b"wal");
                 let c = cred(&ny, &who, "Member");
@@ -2187,16 +1792,15 @@ mod tests {
                 }
             }
         }
-        let (repo, bus, _) = Repository::recover(&dir).unwrap();
+        let (repo, bus, _) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(repo_fingerprint(&repo), repo_fingerprint(&oracle_repo));
         assert_eq!(bus.revoked_ids(), oracle_bus.revoked_ids());
     }
 
-    #[test]
-    fn republished_after_purge_survives_replay() {
-        // publish C → purge removes it → publish C again: the recovered
-        // repository must hold C (the dedup map forgets purged pairs
-        // instead of mistaking the re-publish for a duplicate).
+    /// publish C → purge removes it → publish C again: the recovered
+    /// repository must hold C (the dedup map forgets purged pairs instead
+    /// of mistaking the re-publish for a duplicate).
+    fn republish_after_purge_survives(shards: usize) {
         let dir = tmpdir("repurge");
         let ny = Entity::with_seed("Comp.NY", b"wal");
         let alice = Entity::with_seed("Alice", b"wal");
@@ -2206,14 +1810,15 @@ mod tests {
             .expires(100)
             .sign();
         {
-            let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+            let (d, _) =
+                ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
             d.repository().publish_at_issuer(doomed.clone());
             assert_eq!(d.repository().purge_expired(200), 1);
             // Same (home, id) published again after the purge.
             d.repository().publish_at_issuer(doomed.clone());
             assert_eq!(d.repository().len(), 1);
         }
-        let (repo, _, report) = Repository::recover(&dir).unwrap();
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
         assert_eq!(
             report.duplicates_skipped, 0,
             "re-publish is not a duplicate"
@@ -2222,9 +1827,18 @@ mod tests {
     }
 
     #[test]
+    fn republished_after_purge_survives_replay() {
+        republish_after_purge_survives(1);
+    }
+
+    #[test]
     fn revoke_batch_record_roundtrip() {
         let ids: Vec<String> = (0..100).map(|i| format!("id-{i:03}")).collect();
-        let log = frame(&encode_payload(5, &WalOp::RevokeBatch { ids: ids.clone() }));
+        let mut log = Vec::new();
+        put_frame(
+            &mut log,
+            &encode_payload(5, &WalOp::RevokeBatch { ids: ids.clone() }),
+        );
         let scan = scan_log(&log);
         assert!(scan.corruption.is_none());
         assert_eq!(scan.records.len(), 1);
@@ -2234,7 +1848,52 @@ mod tests {
         }
     }
 
-    // -- sharded layout ----------------------------------------------------
+    #[test]
+    fn dropped_handle_flushes_buffered_records() {
+        // Dropping the last handle without detach() must flush the
+        // group-commit buffers and release the segments: the logging
+        // observers may not keep the repository alive.
+        let dir = tmpdir("drop");
+        let ny = Entity::with_seed("Comp.NY", b"wal");
+        let cfg = WalConfig {
+            fsync: FsyncPolicy::Never,
+            auto_compact_appends: None,
+        };
+        {
+            let (d, _) = ShardedDurableRepository::open(&dir, 4, cfg).unwrap();
+            for i in 0..10 {
+                let who = Entity::with_seed(format!("U{i}"), b"wal");
+                d.repository().publish_at_issuer(cred(&ny, &who, "Member"));
+            }
+        }
+        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
+        assert_eq!(report.publishes, 10);
+        assert_eq!(repo.len(), 10);
+    }
+
+    #[test]
+    fn single_log_directory_is_rejected() {
+        for legacy in [LOG_FILE, SNAPSHOT_FILE] {
+            let dir = tmpdir("legacy");
+            std::fs::write(dir.join(legacy), b"old single-log bytes").unwrap();
+            let rejected = |e: std::io::Error| {
+                assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
+                assert!(e.to_string().contains("single-log layout"), "{e}");
+            };
+            rejected(
+                ShardedDurableRepository::open(&dir, 1, WalConfig::default())
+                    .err()
+                    .unwrap(),
+            );
+            rejected(Repository::recover_sharded(&dir).err().unwrap());
+            rejected(verify_sharded_dir(&dir).err().unwrap());
+            // Nothing was migrated or laid over the old files.
+            assert!(!dir.join(SHARD_META_FILE).exists());
+            assert!(!dir.join(BUS_DIR).exists());
+        }
+    }
+
+    // -- multi-shard layouts -----------------------------------------------
 
     fn sharded_workload(d: &ShardedDurableRepository, ny: &Entity, users: usize) -> Vec<String> {
         let mut revoked = Vec::new();
@@ -2263,7 +1922,7 @@ mod tests {
             assert_eq!(d.repository().len(), 24);
             d.detach();
         }
-        assert!(is_sharded_dir(&dir));
+        assert!(dir.join(SHARD_META_FILE).is_file());
         let (d2, report) = ShardedDurableRepository::open(&dir, 8, WalConfig::default()).unwrap();
         // 24 publishes spread across shard segments + 1 RevokeBatch frame.
         assert_eq!(report.publishes, 24);
@@ -2407,22 +2066,6 @@ mod tests {
 
     #[test]
     fn sharded_republished_after_purge_survives_replay() {
-        let dir = tmpdir("sh-repurge");
-        let ny = Entity::with_seed("Comp.NY", b"swal");
-        let alice = Entity::with_seed("Alice", b"swal");
-        let doomed = DelegationBuilder::new(&ny)
-            .subject_entity(&alice)
-            .role(ny.role("Guest"))
-            .expires(100)
-            .sign();
-        {
-            let (d, _) = ShardedDurableRepository::open(&dir, 4, WalConfig::default()).unwrap();
-            d.repository().publish_at_issuer(doomed.clone());
-            assert_eq!(d.repository().purge_expired(200), 1);
-            d.repository().publish_at_issuer(doomed.clone());
-        }
-        let (repo, _, report) = Repository::recover_sharded(&dir).unwrap();
-        assert_eq!(report.duplicates_skipped, 0);
-        assert_eq!(repo.len(), 1);
+        republish_after_purge_survives(4);
     }
 }

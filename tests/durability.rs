@@ -6,9 +6,9 @@
 use psf_drbac::entity::{Entity, EntityRegistry};
 use psf_drbac::proof::ProofEngine;
 use psf_drbac::repository::Repository;
-use psf_drbac::wal::{self, DurableRepository, FsyncPolicy, WalConfig};
+use psf_drbac::wal::{self, FsyncPolicy, ShardedDurableRepository, WalConfig};
 use psf_drbac::DelegationBuilder;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -32,6 +32,17 @@ fn issue(dom: &Entity, user: &Entity, serial: u64) -> psf_drbac::SignedDelegatio
         .sign()
 }
 
+/// Open `dir` as a one-shard durable directory (the plain single-log
+/// store) under `config`.
+fn open_one(dir: &Path, config: WalConfig) -> ShardedDurableRepository {
+    ShardedDurableRepository::open(dir, 1, config).unwrap().0
+}
+
+/// The log of the one shard segment of a one-shard directory.
+fn shard_log(dir: &Path) -> PathBuf {
+    dir.join(wal::shard_dir_name(0)).join(wal::LOG_FILE)
+}
+
 /// Five open → publish → revoke → drop cycles; every cycle's committed
 /// records are visible to the next, and the final read-only recovery sees
 /// all of them.
@@ -42,7 +53,7 @@ fn committed_state_survives_reopen_cycles() {
     let dom = Entity::with_seed("Dom", b"durability");
     let mut revoked = Vec::new();
     for cycle in 0..5u64 {
-        let (d, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d, report) = ShardedDurableRepository::open(&dir, 1, WalConfig::default()).unwrap();
         assert_eq!(
             d.repository().len(),
             (cycle * 10) as usize,
@@ -60,7 +71,7 @@ fn committed_state_survives_reopen_cycles() {
         }
         assert_eq!(report.revocations_restored as u64, cycle);
     }
-    let (repo, bus, report) = Repository::recover(&dir).unwrap();
+    let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
     assert_eq!(repo.len(), 50);
     assert_eq!(bus.revoked_count(), 5);
     assert_eq!(report.truncated_bytes, 0);
@@ -79,14 +90,13 @@ fn torn_tail_loses_no_committed_record() {
     let user = Entity::with_seed("User", b"durability");
     let dom = Entity::with_seed("Dom", b"durability");
     {
-        let (d, _) = DurableRepository::open(
+        let d = open_one(
             &dir,
             WalConfig {
                 fsync: FsyncPolicy::EveryN(4),
                 auto_compact_appends: None,
             },
-        )
-        .unwrap();
+        );
         for i in 0..17u64 {
             d.repository().publish_at_issuer(issue(&dom, &user, i));
         }
@@ -95,13 +105,15 @@ fn torn_tail_loses_no_committed_record() {
     // Simulate a crash mid-append: a length prefix promising more bytes
     // than were ever written.
     use std::io::Write as _;
-    let log = dir.join(wal::LOG_FILE);
-    let mut f = std::fs::OpenOptions::new().append(true).open(&log).unwrap();
+    let mut f = std::fs::OpenOptions::new()
+        .append(true)
+        .open(shard_log(&dir))
+        .unwrap();
     f.write_all(&[0x40, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3])
         .unwrap();
     drop(f);
 
-    let (d, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+    let (d, report) = ShardedDurableRepository::open(&dir, 1, WalConfig::default()).unwrap();
     assert_eq!(report.publishes, 17);
     assert_eq!(report.truncated_bytes, 11);
     let registry = EntityRegistry::new();
@@ -110,7 +122,7 @@ fn torn_tail_loses_no_committed_record() {
     let engine = ProofEngine::new(&registry, d.repository(), d.bus(), 0);
     assert!(engine.check(&user.as_subject(), &dom.role("R"), &[]));
     // The writable open physically dropped the tail.
-    assert!(wal::verify_dir(&dir).unwrap().is_clean());
+    assert!(wal::verify_sharded_dir(&dir).unwrap().is_clean());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -124,19 +136,19 @@ fn interrupted_compaction_overlap_is_deduplicated() {
     let dom = Entity::with_seed("Dom", b"durability");
     let pre_compact_log;
     {
-        let (d, _) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let d = open_one(&dir, WalConfig::default());
         for i in 0..12u64 {
             d.repository().publish_at_issuer(issue(&dom, &user, i));
         }
         d.bus().revoke(&issue(&dom, &user, 0).id());
-        pre_compact_log = std::fs::read(dir.join(wal::LOG_FILE)).unwrap();
+        pre_compact_log = std::fs::read(shard_log(&dir)).unwrap();
         d.compact().unwrap();
     }
     // Put the pre-compaction log back: exactly the state left behind by a
     // crash after the snapshot rename but before the truncate.
-    std::fs::write(dir.join(wal::LOG_FILE), &pre_compact_log).unwrap();
+    std::fs::write(shard_log(&dir), &pre_compact_log).unwrap();
 
-    let (repo, bus, report) = Repository::recover(&dir).unwrap();
+    let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
     assert_eq!(report.snapshot_entries, 12);
     assert_eq!(report.duplicates_skipped, 12);
     assert_eq!(repo.len(), 12);
@@ -153,7 +165,7 @@ fn epoch_is_strictly_monotonic_across_restarts() {
     let dom = Entity::with_seed("Dom", b"durability");
     let mut last = 0u64;
     for i in 0..4u64 {
-        let (d, report) = DurableRepository::open(&dir, WalConfig::default()).unwrap();
+        let (d, report) = ShardedDurableRepository::open(&dir, 1, WalConfig::default()).unwrap();
         assert!(
             report.epoch > last || (i == 0 && report.epoch == last),
             "restart {i}: epoch {} must exceed pre-crash epoch {last}",
@@ -165,33 +177,42 @@ fn epoch_is_strictly_monotonic_across_restarts() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Auto-compaction keeps the log bounded while never losing state, and
-/// `WalStats` tracks the moving bytes.
+/// Auto-compaction keeps every segment's log bounded while never losing
+/// state: each segment compacts on its own append count, and
+/// `ShardedWalStats` tracks the moving bytes.
 #[test]
 fn auto_compaction_preserves_state_and_bounds_log() {
     let dir = tmpdir("autocompact");
-    let user = Entity::with_seed("User", b"durability");
     let dom = Entity::with_seed("Dom", b"durability");
+    let users: Vec<Entity> = (0..8)
+        .map(|i| Entity::with_seed(format!("User{i}"), b"durability"))
+        .collect();
     {
-        let (d, _) = DurableRepository::open(
+        let (d, _) = ShardedDurableRepository::open(
             &dir,
+            4,
             WalConfig {
                 fsync: FsyncPolicy::Never,
-                auto_compact_appends: Some(16),
+                auto_compact_appends: Some(8),
             },
         )
         .unwrap();
         for i in 0..100u64 {
-            d.repository().publish_at_issuer(issue(&dom, &user, i));
+            d.repository()
+                .publish_at_issuer(issue(&dom, &users[i as usize % users.len()], i));
         }
         let stats = d.stats();
         assert!(
             stats.compactions >= 5,
             "expected compactions, got {stats:?}"
         );
-        assert!(stats.snapshot_bytes > 0);
+        for (i, seg) in stats.shards.iter().enumerate() {
+            // Each segment compacts at every 8th append of its own.
+            assert_eq!(seg.compactions, seg.appends / 8, "shard {i}: {seg:?}");
+            assert_eq!(seg.snapshot_bytes > 0, seg.compactions > 0, "shard {i}");
+        }
     }
-    let (repo, bus, report) = Repository::recover(&dir).unwrap();
+    let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
     assert_eq!(repo.len(), 100);
     assert_eq!(bus.revoked_count(), 0);
     assert!(report.snapshot_entries > 0, "snapshot must carry the bulk");

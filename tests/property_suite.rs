@@ -728,30 +728,6 @@ proptest! {
 
 // -------------------------------------------------- durability / WAL --
 
-/// One step of a random durable-repository workload.
-#[derive(Debug, Clone)]
-enum WalStep {
-    /// Publish a fresh `PD{domain}.R -> PropUser` credential, optionally
-    /// expiring at logical second `expires`.
-    Publish { domain: usize, expires: Option<u64> },
-    /// Revoke one of the previously issued credentials (modulo-indexed).
-    Revoke { pick: usize },
-    /// Purge everything expired as of logical second `now`.
-    Purge { now: u64 },
-}
-
-fn arb_wal_step() -> impl Strategy<Value = WalStep> {
-    // Publish twice: bias the unweighted union toward growing the log.
-    prop_oneof![
-        (0usize..8, proptest::option::of(1u64..64))
-            .prop_map(|(domain, expires)| WalStep::Publish { domain, expires }),
-        (0usize..8, proptest::option::of(1u64..64))
-            .prop_map(|(domain, expires)| WalStep::Publish { domain, expires }),
-        (0usize..32).prop_map(|pick| WalStep::Revoke { pick }),
-        (1u64..64).prop_map(|now| WalStep::Purge { now }),
-    ]
-}
-
 fn wal_tmpdir() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static N: AtomicU64 = AtomicU64::new(0);
@@ -763,150 +739,6 @@ fn wal_tmpdir() -> std::path::PathBuf {
     let _ = std::fs::remove_dir_all(&d);
     std::fs::create_dir_all(&d).unwrap();
     d
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Crash injection: run a random publish/revoke/purge workload against
-    /// a durable repository, cut the WAL at a random byte offset (a torn
-    /// write), recover, and require authorization state identical to an
-    /// in-memory oracle built from the records that survived the cut —
-    /// same `prove` outcome, same view selection, same credential ids,
-    /// same revocation set. A writable reopen must then truncate the tail
-    /// and leave the directory verifiably clean.
-    #[test]
-    fn recovery_matches_never_crashed_oracle(
-        steps in proptest::collection::vec(arb_wal_step(), 1..24),
-        cut_ratio in 0.0f64..1.0,
-    ) {
-        use psf_drbac::wal::{self, DurableRepository, FsyncPolicy, WalConfig};
-        use psf_views::ViewAcl;
-
-        let dir = wal_tmpdir();
-        let user = Entity::with_seed("PropUser", b"prop-wal");
-        let domains: Vec<Entity> = (0..8)
-            .map(|i| Entity::with_seed(format!("PD{i}"), b"prop-wal"))
-            .collect();
-
-        // --- Run the workload against the durable repository. ---
-        let mut issued: Vec<String> = Vec::new();
-        {
-            let (d, _) = DurableRepository::open(
-                &dir,
-                WalConfig { fsync: FsyncPolicy::Never, auto_compact_appends: None },
-            ).unwrap();
-            for step in &steps {
-                match step {
-                    WalStep::Publish { domain, expires } => {
-                        let dom = &domains[*domain];
-                        let mut b = DelegationBuilder::new(dom)
-                            .subject_entity(&user)
-                            .role(dom.role("R"));
-                        if let Some(e) = expires {
-                            b = b.expires(*e);
-                        }
-                        let cred = b.sign();
-                        issued.push(cred.id());
-                        d.repository().publish_at_issuer(cred);
-                    }
-                    WalStep::Revoke { pick } => {
-                        if !issued.is_empty() {
-                            d.bus().revoke(&issued[pick % issued.len()]);
-                        }
-                    }
-                    WalStep::Purge { now } => {
-                        d.repository().purge_expired(*now);
-                    }
-                }
-            }
-            d.sync().unwrap();
-        }
-
-        // --- Tear the log at a random byte offset. ---
-        let log = dir.join(wal::LOG_FILE);
-        let full = std::fs::read(&log).unwrap();
-        // A workload of no-ops (revokes with nothing issued) commits no
-        // records; there is nothing to tear.
-        prop_assume!(!full.is_empty());
-        let cut = 1 + ((full.len() - 1) as f64 * cut_ratio) as u64;
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&log)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-
-        // --- Oracle: apply the surviving records through the public API,
-        // never having crashed. ---
-        let torn = std::fs::read(&log).unwrap();
-        let scan = wal::scan_log(&torn);
-        let oracle_repo = Repository::new();
-        let oracle_bus = RevocationBus::new();
-        for rec in &scan.records {
-            match &rec.op {
-                wal::WalOp::Publish { home, tag, cred } => {
-                    oracle_repo.publish(home.clone(), cred.clone(), *tag)
-                }
-                wal::WalOp::Revoke { id } => oracle_bus.revoke(id),
-                wal::WalOp::RevokeBatch { ids } => {
-                    for id in ids {
-                        oracle_bus.revoke(id);
-                    }
-                }
-                wal::WalOp::PurgeExpired { now } => {
-                    oracle_repo.purge_expired(*now);
-                }
-            }
-        }
-
-        // --- Recover and compare. ---
-        let (rec_repo, rec_bus, report) = Repository::recover(&dir).unwrap();
-        prop_assert_eq!(report.records_replayed, scan.records.len());
-
-        let registry = EntityRegistry::new();
-        registry.register(&user);
-        for dom in &domains {
-            registry.register(dom);
-        }
-        let subject = user.as_subject();
-        let oracle_engine = ProofEngine::new(&registry, &oracle_repo, &oracle_bus, 0);
-        let rec_engine = ProofEngine::new(&registry, &rec_repo, &rec_bus, 0);
-        for dom in &domains {
-            let role = dom.role("R");
-            prop_assert_eq!(
-                oracle_engine.check(&subject, &role, &[]),
-                rec_engine.check(&subject, &role, &[]),
-                "prove divergence on {}", role
-            );
-            let acl = ViewAcl::new().rule(role.clone(), "FullView");
-            prop_assert_eq!(
-                acl.authorize_once(&subject, &[], &registry, &oracle_repo, &oracle_bus, 0).is_some(),
-                acl.authorize_once(&subject, &[], &registry, &rec_repo, &rec_bus, 0).is_some(),
-                "view selection divergence on {}", dom.name
-            );
-        }
-        // Replay dedups repeated publishes of the same credential (the
-        // duplicate-tolerance rule that absorbs snapshot/log overlap), so
-        // compare the *distinct* committed id sets.
-        let ids = |repo: &Repository| {
-            let mut v: Vec<String> = repo.all_credentials().iter().map(|c| c.id()).collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-        prop_assert_eq!(ids(&oracle_repo), ids(&rec_repo));
-        prop_assert_eq!(oracle_bus.revoked_ids(), rec_bus.revoked_ids());
-
-        // --- A writable reopen truncates the tail; the directory must
-        // then verify clean. ---
-        drop(DurableRepository::open(&dir, WalConfig::default()).unwrap());
-        let v = wal::verify_dir(&dir).unwrap();
-        prop_assert!(v.is_clean());
-        prop_assert_eq!(v.truncated_bytes, 0);
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 // ------------------------------------- sharded repository differential --
@@ -1094,19 +926,23 @@ proptest! {
         }
     }
 
-    /// Crash injection for the sharded layout: run a random workload
-    /// against a sharded durable repository, cut ONE shard's WAL at a
-    /// random byte offset, recover, and require authorization state
-    /// identical to an oracle built from the surviving records of every
-    /// segment. A writable reopen must then heal the torn shard and
-    /// leave every segment verifiably clean.
+    /// Crash injection: run a random publish/revoke/purge workload
+    /// against a sharded durable repository, cut ONE segment's WAL — a
+    /// shard's or the revocation bus's — at a random byte offset (a torn
+    /// write), recover, and require authorization state identical to an
+    /// oracle built from the surviving records of every segment: same
+    /// `prove` outcome, same view selection, same credential ids, same
+    /// revocation set. A writable reopen must then heal the torn segment
+    /// and leave every segment verifiably clean.
     #[test]
     fn sharded_recovery_after_torn_shard_matches_oracle(
         steps in proptest::collection::vec(arb_shard_step(), 1..24),
         cut_ratio in 0.0f64..1.0,
-        shard_pick in 0usize..8,
+        // One pick per segment: 8 shards, then the bus.
+        shard_pick in 0usize..9,
     ) {
         use psf_drbac::wal::{self, FsyncPolicy, ShardedDurableRepository, WalConfig};
+        use psf_views::ViewAcl;
 
         const SHARDS: usize = 8;
         let dir = wal_tmpdir();
@@ -1161,23 +997,23 @@ proptest! {
             d.detach();
         }
 
-        // --- Tear ONE shard's log at a random byte offset. ---
-        let victim = (0..SHARDS)
-            .map(|i| (shard_pick + i) % SHARDS)
-            .find(|&s| {
-                std::fs::metadata(dir.join(wal::shard_dir_name(s)).join(wal::LOG_FILE))
-                    .map(|m| m.len() >= 2)
-                    .unwrap_or(false)
-            });
-        // All-no-op workloads commit nothing to any shard.
-        prop_assume!(victim.is_some());
-        let victim = victim.unwrap();
-        let log = dir.join(wal::shard_dir_name(victim)).join(wal::LOG_FILE);
-        let full_len = std::fs::metadata(&log).unwrap().len();
+        // --- Tear ONE segment's log at a random byte offset. Segment
+        // `SHARDS` is the bus. ---
+        let logs: Vec<std::path::PathBuf> = wal::segment_dirs(&dir, SHARDS)
+            .into_iter()
+            .map(|seg| seg.join(wal::LOG_FILE))
+            .collect();
+        let log = (0..logs.len())
+            .map(|i| &logs[(shard_pick + i) % logs.len()])
+            .find(|log| std::fs::metadata(log).map(|m| m.len() >= 2).unwrap_or(false));
+        // All-no-op workloads commit nothing to any segment.
+        prop_assume!(log.is_some());
+        let log = log.unwrap();
+        let full_len = std::fs::metadata(log).unwrap().len();
         let cut = 1 + ((full_len - 1) as f64 * cut_ratio) as u64;
         std::fs::OpenOptions::new()
             .write(true)
-            .open(&log)
+            .open(log)
             .unwrap()
             .set_len(cut)
             .unwrap();
@@ -1191,9 +1027,8 @@ proptest! {
         let oracle_repo = Repository::with_shard_count(1);
         let oracle_bus = RevocationBus::new();
         let mut replayable = 0usize;
-        for s in 0..SHARDS {
-            let image =
-                std::fs::read(dir.join(wal::shard_dir_name(s)).join(wal::LOG_FILE)).unwrap();
+        for shard_log in &logs[..SHARDS] {
+            let image = std::fs::read(shard_log).unwrap();
             let local = Repository::with_shard_count(1);
             for rec in &wal::scan_log(&image).records {
                 replayable += 1;
@@ -1213,7 +1048,7 @@ proptest! {
                 oracle_repo.publish(home, (*cred).clone(), tag);
             }
         }
-        let bus_image = std::fs::read(dir.join(wal::BUS_DIR).join(wal::LOG_FILE)).unwrap();
+        let bus_image = std::fs::read(&logs[SHARDS]).unwrap();
         for rec in &wal::scan_log(&bus_image).records {
             replayable += 1;
             match &rec.op {
@@ -1257,6 +1092,14 @@ proptest! {
                 let o = oracle_engine.check(&subject, &role, &[]);
                 let r = rec_engine.check(&subject, &role, &[]);
                 prop_assert_eq!(o, r, "decision divergence on {} -> {}", u.name.0, role);
+                let acl = ViewAcl::new().rule(role.clone(), "FullView");
+                prop_assert_eq!(
+                    acl.authorize_once(&subject, &[], &registry, &oracle_repo, &oracle_bus, 0)
+                        .is_some(),
+                    acl.authorize_once(&subject, &[], &registry, &rec_repo, &rec_bus, 0)
+                        .is_some(),
+                    "view selection divergence on {} -> {}", u.name.0, role
+                );
             }
         }
 
