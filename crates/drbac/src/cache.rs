@@ -36,7 +36,7 @@
 //! entries record epochs of *those* structures. [`Guard`](crate::Guard)
 //! and the planner's oracle own their cache for exactly this reason.
 
-use crate::delegation::SignedDelegation;
+use crate::delegation::{CredentialId, SignedDelegation};
 use crate::proof::{Proof, SearchStats};
 use crate::revocation::{RevocationBus, ValidityMonitor};
 use crate::{DrbacError, Timestamp};
@@ -73,12 +73,12 @@ pub struct PresentedFingerprint {
 }
 
 impl PresentedFingerprint {
-    /// Fingerprint a presented credential slice.
-    pub fn of(presented: &[SignedDelegation]) -> PresentedFingerprint {
+    /// Fingerprint the ids of a presented credential slice.
+    pub fn of(presented: &[CredentialId]) -> PresentedFingerprint {
         let mut sum = 0u64;
         let mut xor = 0u64;
-        for c in presented {
-            let h = fnv1a(c.id().as_bytes());
+        for id in presented {
+            let h = fnv1a(id.as_str().as_bytes());
             sum = sum.wrapping_add(h);
             xor ^= h;
         }
@@ -106,7 +106,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 #[derive(Debug, Default, Clone)]
 pub struct Frontier {
     /// Ids of every credential the search examined.
-    pub ids: Vec<String>,
+    pub ids: Vec<CredentialId>,
     /// Canonical subject keys the search queried the repository for —
     /// including keys that returned nothing (a later publish for such a
     /// key can change the result, so its shard must be pinned too).
@@ -116,9 +116,9 @@ pub struct Frontier {
 }
 
 impl Frontier {
-    /// Record one examined credential.
-    pub fn note(&mut self, cred: &SignedDelegation, now: Timestamp) {
-        self.ids.push(cred.id());
+    /// Record one examined credential, `id` being its id.
+    pub fn note(&mut self, cred: &SignedDelegation, id: CredentialId, now: Timestamp) {
+        self.ids.push(id);
         if let Some(exp) = cred.body.expires {
             if exp > now && self.next_expiry.is_none_or(|e| exp < e) {
                 self.next_expiry = Some(exp);
@@ -203,7 +203,7 @@ struct StatCells {
 }
 
 struct CacheInner {
-    creds: Mutex<HashMap<String, CredVerdict>>,
+    creds: Mutex<HashMap<CredentialId, CredVerdict>>,
     proofs: Mutex<HashMap<ProofKey, ProofEntry>>,
     stats: StatCells,
 }
@@ -245,9 +245,22 @@ impl AuthCache {
         issuer_key: &psf_crypto::ed25519::VerifyingKey,
         now: Timestamp,
     ) -> Result<(), DrbacError> {
+        self.verify_credential_id(cred, cred.credential_id(), issuer_key, now)
+    }
+
+    /// [`verify_credential`](Self::verify_credential) with `cred`'s id
+    /// already in hand. `id` must be `cred.credential_id()`: the memo is
+    /// keyed by it, so a wrong id could answer for another credential.
+    pub(crate) fn verify_credential_id(
+        &self,
+        cred: &SignedDelegation,
+        id: CredentialId,
+        issuer_key: &psf_crypto::ed25519::VerifyingKey,
+        now: Timestamp,
+    ) -> Result<(), DrbacError> {
+        debug_assert_eq!(id, cred.credential_id());
         cred.check_structure()?;
         cred.check_expiry(now)?;
-        let id = cred.id();
         {
             let creds = self.inner.creds.lock();
             if let Some(v) = creds.get(&id) {
@@ -367,7 +380,7 @@ impl AuthCache {
                 proof: proof.clone(),
                 stats: *stats,
                 cert: None,
-                monitor: bus.monitor(frontier.ids.iter().cloned()),
+                monitor: bus.monitor(frontier.ids.iter().map(|id| id.to_string())),
                 next_expiry: frontier.next_expiry,
                 repo_epoch,
                 shard_marks: shard_pins,
@@ -485,6 +498,32 @@ mod tests {
     }
 
     #[test]
+    fn edited_clone_gets_fresh_id_and_no_cached_verdict() {
+        let ny = Entity::with_seed("Comp.NY", b"c");
+        let alice = Entity::with_seed("Alice", b"c");
+        let cred = DelegationBuilder::new(&ny)
+            .subject_entity(&alice)
+            .role(ny.role("Member"))
+            .sign();
+        let cache = AuthCache::new();
+        let key = ny.public_key();
+        cache.verify_credential(&cred, &key, 0).unwrap();
+        let mut edited = cred.clone();
+        edited.body.serial += 1;
+        assert_ne!(edited.id(), cred.id());
+        assert_eq!(edited.credential_id().as_str(), edited.id());
+        for _ in 0..2 {
+            assert_eq!(
+                cache.verify_credential(&edited, &key, 0),
+                Err(DrbacError::BadSignature)
+            );
+        }
+        cache.verify_credential(&cred, &key, 0).unwrap();
+        let s = cache.stats();
+        assert_eq!((s.cred_misses, s.cred_hits), (2, 2));
+    }
+
+    #[test]
     fn fingerprint_is_order_independent() {
         let ny = Entity::with_seed("Comp.NY", b"c");
         let alice = Entity::with_seed("Alice", b"c");
@@ -497,8 +536,9 @@ mod tests {
             .subject_entity(&bob)
             .role(ny.role("Member"))
             .sign();
-        let fwd = PresentedFingerprint::of(&[a.clone(), b.clone()]);
-        let rev = PresentedFingerprint::of(&[b.clone(), a.clone()]);
+        let (a, b) = (a.credential_id(), b.credential_id());
+        let fwd = PresentedFingerprint::of(&[a, b]);
+        let rev = PresentedFingerprint::of(&[b, a]);
         assert_eq!(fwd, rev);
         assert_ne!(fwd, PresentedFingerprint::of(&[a]));
         assert_ne!(fwd, PresentedFingerprint::of(&[b]));

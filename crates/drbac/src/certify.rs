@@ -161,7 +161,12 @@ impl ProofEngine<'_> {
                 let key = ProofKey {
                     subject: subject_key(subject),
                     role: target.to_string(),
-                    presented: PresentedFingerprint::of(presented),
+                    presented: PresentedFingerprint::of(
+                        &presented
+                            .iter()
+                            .map(|c| c.credential_id())
+                            .collect::<Vec<_>>(),
+                    ),
                 };
                 match cache.lookup_certificate(&key) {
                     Some(cert) => cert,

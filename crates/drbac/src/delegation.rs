@@ -113,13 +113,46 @@ pub struct SignedDelegation {
     pub signature: Signature,
 }
 
+/// A credential id: the first 8 bytes of SHA-256(encoded body ‖
+/// signature) as 16 lowercase hex digits. `Copy` and heap-free, so the
+/// proof search can carry one id per credential instead of rehashing;
+/// [`SignedDelegation::id`] renders the same digits as a `String`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct CredentialId([u8; 16]);
+
+impl CredentialId {
+    /// The id's hex digits.
+    pub fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.0).expect("hex digits are ASCII")
+    }
+}
+
+impl std::fmt::Display for CredentialId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
 impl SignedDelegation {
     /// Stable credential id: hex SHA-256 (truncated) of body + signature.
     pub fn id(&self) -> String {
-        let mut data = self.body.encode();
-        data.extend_from_slice(&self.signature.to_bytes());
-        let digest = psf_crypto::sha256(&data);
-        digest[..8].iter().map(|b| format!("{b:02x}")).collect()
+        self.credential_id().to_string()
+    }
+
+    /// [`id`](Self::id) as a [`CredentialId`]. Computed afresh on every
+    /// call: the fields are public, so a memo here could go stale.
+    pub fn credential_id(&self) -> CredentialId {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut h = psf_crypto::Sha256::new();
+        h.update(&self.body.encode());
+        h.update(&self.signature.0);
+        let digest = h.finalize();
+        let mut out = [0u8; 16];
+        for (pair, b) in out.chunks_exact_mut(2).zip(&digest[..8]) {
+            pair[0] = HEX[usize::from(b >> 4)];
+            pair[1] = HEX[usize::from(b & 0x0f)];
+        }
+        CredentialId(out)
     }
 
     /// Structural check (self-certifying ⇒ issuer owns the role): the

@@ -13,7 +13,7 @@
 
 use crate::attr::AttrSet;
 use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey};
-use crate::delegation::{DelegationKind, SignedDelegation};
+use crate::delegation::{CredentialId, DelegationKind, SignedDelegation};
 use crate::entity::{EntityRegistry, RoleName, Subject};
 #[cfg(test)]
 use crate::repository::Repository;
@@ -21,7 +21,10 @@ use crate::repository::{subject_key, CredentialSource};
 use crate::revocation::RevocationBus;
 use crate::{DrbacError, Timestamp};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+
+/// A credential shared for the duration of a search, with its id.
+type Candidate = (Arc<SignedDelegation>, CredentialId);
 
 /// One edge of a proof chain: the credential plus, for third-party
 /// delegations, the assignment-right proof authorizing its issuer.
@@ -35,6 +38,36 @@ pub struct ProofEdge {
     /// For third-party edges: proof that the issuer holds the right of
     /// assignment for the edge's object role.
     pub support: Option<Box<Proof>>,
+    /// The search's id for the allocation `credential` pointed at when
+    /// the edge was built. The weak handle keeps that allocation's
+    /// address unique and blocks `Arc::get_mut` on it, so the id holds
+    /// exactly while `credential` still points there.
+    id: (Weak<SignedDelegation>, CredentialId),
+}
+
+impl ProofEdge {
+    /// An edge over `credential` whose id the search already holds.
+    fn with_id(
+        credential: Arc<SignedDelegation>,
+        id: CredentialId,
+        support: Option<Box<Proof>>,
+    ) -> ProofEdge {
+        ProofEdge {
+            id: (Arc::downgrade(&credential), id),
+            credential,
+            support,
+        }
+    }
+
+    /// The credential's id: the memo when `credential` is still the
+    /// allocation it was computed for, a fresh hash otherwise.
+    pub fn id(&self) -> CredentialId {
+        if std::ptr::eq(self.id.0.as_ptr(), Arc::as_ptr(&self.credential)) {
+            self.id.1
+        } else {
+            self.credential.credential_id()
+        }
+    }
 }
 
 /// A verifiable proof that `subject` holds `role` (or, when `assignment`
@@ -66,7 +99,7 @@ impl Proof {
 
     fn collect_ids(&self, out: &mut Vec<String>) {
         for e in &self.edges {
-            out.push(e.credential.id());
+            out.push(e.id().to_string());
             if let Some(s) = &e.support {
                 s.collect_ids(out);
             }
@@ -115,18 +148,18 @@ impl Proof {
         let mut expected_subject = self.subject.clone();
         for edge in &self.edges {
             let cred = &edge.credential;
-            check_edge_common(cred, registry, bus, now, cache)?;
+            let id = edge.id();
+            check_edge_common(cred, id, registry, bus, now, cache)?;
             if subject_key(&cred.body.subject) != subject_key(&expected_subject) {
                 return Err(DrbacError::BrokenChain(format!(
-                    "edge {} subject '{}' does not follow '{}'",
-                    cred.id(),
+                    "edge {id} subject '{}' does not follow '{}'",
                     cred.body.subject.render(),
                     expected_subject.render()
                 )));
             }
             let effective = effective_edge_attrs(edge, registry, bus, now, cache)?;
             attrs = attrs.attenuate(&effective).ok_or_else(|| {
-                DrbacError::BrokenChain(format!("attributes annihilate at edge {}", cred.id()))
+                DrbacError::BrokenChain(format!("attributes annihilate at edge {id}"))
             })?;
             expected_subject = Subject::Role(cred.body.object.clone());
         }
@@ -177,25 +210,22 @@ impl Proof {
         let mut expected_subject = self.subject.clone();
         for edge in &self.edges {
             let cred = &edge.credential;
-            check_edge_common(cred, registry, bus, now, cache)?;
+            let id = edge.id();
+            check_edge_common(cred, id, registry, bus, now, cache)?;
             if cred.body.kind != DelegationKind::Assignment {
                 return Err(DrbacError::BrokenChain(format!(
-                    "assignment proof contains non-assignment edge {}",
-                    cred.id()
+                    "assignment proof contains non-assignment edge {id}"
                 )));
             }
             if cred.body.object != self.role {
                 return Err(DrbacError::BrokenChain(format!(
-                    "assignment edge {} targets '{}', expected '{}'",
-                    cred.id(),
-                    cred.body.object,
-                    self.role
+                    "assignment edge {id} targets '{}', expected '{}'",
+                    cred.body.object, self.role
                 )));
             }
             if subject_key(&cred.body.subject) != subject_key(&expected_subject) {
                 return Err(DrbacError::BrokenChain(format!(
-                    "assignment edge {} subject does not follow chain",
-                    cred.id()
+                    "assignment edge {id} subject does not follow chain"
                 )));
             }
             // Next link: the issuer must itself be authorized.
@@ -242,8 +272,11 @@ impl Proof {
     }
 }
 
+/// Issuer known, credential verifies (through `cache` when given), not
+/// revoked. `id` is `cred`'s id, computed once by the caller.
 fn check_edge_common(
     cred: &SignedDelegation,
+    id: CredentialId,
     registry: &EntityRegistry,
     bus: &RevocationBus,
     now: Timestamp,
@@ -253,11 +286,11 @@ fn check_edge_common(
         .lookup(&cred.body.issuer)
         .ok_or_else(|| DrbacError::UnknownIssuer(cred.body.issuer.0.clone()))?;
     match cache {
-        Some(c) => c.verify_credential(cred, &issuer_key, now)?,
+        Some(c) => c.verify_credential_id(cred, id, &issuer_key, now)?,
         None => cred.verify(&issuer_key, now)?,
     }
-    if bus.is_revoked(&cred.id()) {
-        return Err(DrbacError::Revoked(cred.id()));
+    if bus.is_revoked(id.as_str()) {
+        return Err(DrbacError::Revoked(id.to_string()));
     }
     Ok(())
 }
@@ -287,7 +320,7 @@ fn effective_edge_attrs(
                 .support
                 .as_ref()
                 .ok_or_else(|| DrbacError::UnauthorizedIssuer {
-                    id: cred.id(),
+                    id: edge.id().to_string(),
                     issuer: cred.body.issuer.0.clone(),
                     role: cred.body.object.to_string(),
                 })?;
@@ -297,7 +330,7 @@ fn effective_edge_attrs(
             {
                 return Err(DrbacError::BrokenChain(format!(
                     "support proof for edge {} does not authorize its issuer",
-                    cred.id()
+                    edge.id()
                 )));
             }
             support.verify_with(registry, bus, now, cache)?;
@@ -311,7 +344,7 @@ fn effective_edge_attrs(
             cred.body.attrs.attenuate(&bound).ok_or_else(|| {
                 DrbacError::BrokenChain(format!(
                     "edge {} grants more than its assignment allows",
-                    cred.id()
+                    edge.id()
                 ))
             })
         }
@@ -425,10 +458,14 @@ impl<'a> ProofEngine<'a> {
         let start = std::time::Instant::now();
         psf_telemetry::counter!("psf.drbac.prove.calls").inc();
 
+        // Each presented credential is hashed once per authorization: the
+        // ids serve the cache key and the whole search.
+        let presented_ids: Vec<CredentialId> =
+            presented.iter().map(|c| c.credential_id()).collect();
         let key = self.cache.map(|_| ProofKey {
             subject: subject_key(subject),
             role: target.to_string(),
-            presented: PresentedFingerprint::of(presented),
+            presented: PresentedFingerprint::of(&presented_ids),
         });
         // Epoch and per-shard high-water marks captured BEFORE the search
         // reads any repository data. If a mark is unchanged at some later
@@ -453,7 +490,7 @@ impl<'a> ProofEngine<'a> {
         }
 
         let mut frontier = Frontier::default();
-        let result = self.prove_search(subject, target, presented, &mut frontier);
+        let result = self.prove_search(subject, target, presented, &presented_ids, &mut frontier);
         if let (Some(cache), Some(key)) = (self.cache, key) {
             let plain = match &result {
                 Ok(ok) => Ok(ok.clone()),
@@ -555,18 +592,23 @@ impl<'a> ProofEngine<'a> {
         subject: &Subject,
         target: &RoleName,
         presented: &[SignedDelegation],
+        presented_ids: &[CredentialId],
         frontier: &mut Frontier,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut stats = SearchStats::default();
         // Share the presented credentials for the whole search: one Arc
         // per credential here, never a deep clone per expansion again.
-        let presented: Vec<Arc<SignedDelegation>> =
-            presented.iter().cloned().map(Arc::new).collect();
+        let presented: Vec<Candidate> = presented
+            .iter()
+            .cloned()
+            .map(Arc::new)
+            .zip(presented_ids.iter().copied())
+            .collect();
         // Index presented credentials by subject key.
-        let mut presented_idx: HashMap<String, Vec<Arc<SignedDelegation>>> = HashMap::new();
+        let mut presented_idx: HashMap<String, Vec<Candidate>> = HashMap::new();
         for c in &presented {
             presented_idx
-                .entry(subject_key(&c.body.subject))
+                .entry(subject_key(&c.0.body.subject))
                 .or_default()
                 .push(c.clone());
         }
@@ -592,23 +634,24 @@ impl<'a> ProofEngine<'a> {
             let key = subject_key(&state.node);
             frontier.note_subject(&key);
             // Candidate edges: presented + repository (both Arc-shared).
-            let mut candidates: Vec<Arc<SignedDelegation>> =
+            let mut candidates: Vec<Candidate> =
                 presented_idx.get(&key).cloned().unwrap_or_default();
-            candidates.extend(self.repository.credentials_by_subject(&state.node));
+            candidates.extend(self.repository.credentials_by_subject_with_ids(&state.node));
 
-            for cred in candidates {
+            for (cred, id) in candidates {
                 stats.credentials_examined += 1;
-                frontier.note(&cred, self.now);
+                frontier.note(&cred, id, self.now);
                 if cred.body.kind == DelegationKind::Assignment {
                     continue; // not a membership edge
                 }
-                if check_edge_common(&cred, self.registry, self.bus, self.now, self.cache).is_err()
+                if check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache)
+                    .is_err()
                 {
                     stats.credentials_rejected += 1;
                     continue;
                 }
                 // Issuer authorization (+ support construction).
-                let edge = match self.authorize_edge(&cred, &presented, &mut stats, frontier) {
+                let edge = match self.authorize_edge(cred, id, &presented, &mut stats, frontier) {
                     Some(e) => e,
                     None => {
                         stats.credentials_rejected += 1;
@@ -705,16 +748,14 @@ impl<'a> ProofEngine<'a> {
 
     fn authorize_edge(
         &self,
-        cred: &Arc<SignedDelegation>,
-        presented: &[Arc<SignedDelegation>],
+        cred: Arc<SignedDelegation>,
+        id: CredentialId,
+        presented: &[Candidate],
         stats: &mut SearchStats,
         frontier: &mut Frontier,
     ) -> Option<ProofEdge> {
         match cred.body.kind {
-            DelegationKind::SelfCertifying => Some(ProofEdge {
-                credential: cred.clone(),
-                support: None,
-            }),
+            DelegationKind::SelfCertifying => Some(ProofEdge::with_id(cred, id, None)),
             DelegationKind::ThirdParty => {
                 let issuer_key = self.registry.lookup(&cred.body.issuer)?;
                 let holder = Subject::Entity {
@@ -729,10 +770,7 @@ impl<'a> ProofEngine<'a> {
                     stats,
                     frontier,
                 )?;
-                Some(ProofEdge {
-                    credential: cred.clone(),
-                    support: Some(Box::new(support)),
-                })
+                Some(ProofEdge::with_id(cred, id, Some(Box::new(support))))
             }
             DelegationKind::Assignment => None,
         }
@@ -741,11 +779,11 @@ impl<'a> ProofEngine<'a> {
     /// Prove that `holder` (an entity) has the right of assignment for
     /// `role`: either it is the owner, or a chain of assignment
     /// delegations leads back to the owner.
-    pub fn prove_assignment(
+    fn prove_assignment(
         &self,
         holder: &Subject,
         role: &RoleName,
-        presented: &[Arc<SignedDelegation>],
+        presented: &[Candidate],
         in_progress: &mut HashSet<String>,
         stats: &mut SearchStats,
         frontier: &mut Frontier,
@@ -771,9 +809,9 @@ impl<'a> ProofEngine<'a> {
 
         // Assignment credentials naming this holder for this role.
         frontier.note_subject(&hkey);
-        let mut candidates: Vec<Arc<SignedDelegation>> = presented
+        let mut candidates: Vec<Candidate> = presented
             .iter()
-            .filter(|c| {
+            .filter(|(c, _)| {
                 c.body.kind == DelegationKind::Assignment
                     && c.body.object == *role
                     && subject_key(&c.body.subject) == hkey
@@ -782,15 +820,18 @@ impl<'a> ProofEngine<'a> {
             .collect();
         candidates.extend(
             self.repository
-                .credentials_by_subject(holder)
+                .credentials_by_subject_with_ids(holder)
                 .into_iter()
-                .filter(|c| c.body.kind == DelegationKind::Assignment && c.body.object == *role),
+                .filter(|(c, _)| {
+                    c.body.kind == DelegationKind::Assignment && c.body.object == *role
+                }),
         );
 
-        for cred in candidates {
+        for (cred, id) in candidates {
             stats.credentials_examined += 1;
-            frontier.note(&cred, self.now);
-            if check_edge_common(&cred, self.registry, self.bus, self.now, self.cache).is_err() {
+            frontier.note(&cred, id, self.now);
+            if check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache).is_err()
+            {
                 stats.credentials_rejected += 1;
                 continue;
             }
@@ -810,10 +851,7 @@ impl<'a> ProofEngine<'a> {
                 stats,
                 frontier,
             ) {
-                let mut edges = vec![ProofEdge {
-                    credential: cred,
-                    support: None,
-                }];
+                let mut edges = vec![ProofEdge::with_id(cred, id, None)];
                 edges.extend(upstream.edges);
                 return Some(Proof {
                     subject: holder.clone(),
@@ -872,6 +910,51 @@ mod tests {
         fn engine(&self) -> ProofEngine<'_> {
             ProofEngine::new(&self.registry, &self.repo, &self.bus, 0)
         }
+    }
+
+    #[test]
+    fn edge_id_follows_a_replaced_credential() {
+        let w = world();
+        let c = DelegationBuilder::new(&w.ny)
+            .subject_entity(&w.alice)
+            .role(w.ny.role("Member"))
+            .sign();
+        let cache = AuthCache::new();
+        let engine = ProofEngine::with_cache(&w.registry, &w.repo, &w.bus, 0, &cache);
+        let (mut proof, _) = engine
+            .prove(
+                &w.alice.as_subject(),
+                &w.ny.role("Member"),
+                std::slice::from_ref(&c),
+            )
+            .unwrap();
+        assert_eq!(proof.credential_ids(), vec![c.id()]);
+        proof
+            .verify_with(&w.registry, &w.bus, 0, Some(&cache))
+            .unwrap();
+        // Swap in an edited clone: the memoized id must not vouch for it.
+        let mut edited = c.clone();
+        edited.body.serial += 1;
+        proof.edges[0].credential = Arc::new(edited.clone());
+        assert_eq!(proof.credential_ids(), vec![edited.id()]);
+        assert_eq!(
+            proof.verify_with(&w.registry, &w.bus, 0, Some(&cache)),
+            Err(DrbacError::BadSignature)
+        );
+        // Editing in place through the shared Arc clones it first.
+        let mut proof = engine
+            .prove(
+                &w.alice.as_subject(),
+                &w.ny.role("Member"),
+                std::slice::from_ref(&c),
+            )
+            .unwrap()
+            .0;
+        Arc::make_mut(&mut proof.edges[0].credential).body.serial += 1;
+        assert_eq!(proof.edges[0].id().to_string(), edited.id());
+        assert!(proof
+            .verify_with(&w.registry, &w.bus, 0, Some(&cache))
+            .is_err());
     }
 
     #[test]

@@ -71,7 +71,7 @@
 //! not just power loss — `sync()` flushes, and so does dropping the last
 //! handle.
 
-use crate::delegation::SignedDelegation;
+use crate::delegation::{CredentialId, SignedDelegation};
 use crate::entity::EntityName;
 use crate::repository::{DiscoveryTag, RepoEvent, Repository};
 use crate::revocation::RevocationBus;
@@ -798,7 +798,7 @@ fn replay_segment(
     // dedup for snapshot/log overlap and replayed double-publishes. A
     // replayed purge *removes* expired pairs, so a later re-publish of a
     // purged credential is applied rather than mistaken for a duplicate.
-    let mut seen: HashMap<(String, String), Option<u64>> = HashMap::new();
+    let mut seen: HashMap<(String, CredentialId), Option<u64>> = HashMap::new();
     let (snapshot, scan) = read_segment(seg_dir)?;
     match snapshot {
         SnapshotLoad::Missing => {}
@@ -819,7 +819,7 @@ fn replay_segment(
         SnapshotLoad::Loaded(snap) => {
             out.epoch = snap.epoch;
             for (home, tag, cred) in snap.entries {
-                seen.insert((home.0.clone(), cred.id()), cred.body.expires);
+                seen.insert((home.0.clone(), cred.credential_id()), cred.body.expires);
                 repo.publish(home, cred, tag);
                 out.snapshot_entries += 1;
             }
@@ -832,7 +832,7 @@ fn replay_segment(
         match &rec.op {
             WalOp::Publish { home, tag, cred } => {
                 use std::collections::hash_map::Entry;
-                match seen.entry((home.0.clone(), cred.id())) {
+                match seen.entry((home.0.clone(), cred.credential_id())) {
                     Entry::Occupied(_) => out.duplicates_skipped += 1,
                     Entry::Vacant(v) => {
                         v.insert(cred.body.expires);
