@@ -13,7 +13,7 @@ use crate::proof::{Proof, ProofEngine, ProofError};
 use crate::repository::Repository;
 use crate::revocation::RevocationBus;
 use crate::Timestamp;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 
 /// One access-control rule: subjects proven to hold `role` receive
 /// `level` (in the paper, the level names the view to instantiate —
@@ -36,7 +36,6 @@ pub struct Guard {
     repository: Repository,
     bus: RevocationBus,
     acl: RwLock<Vec<AclRule>>,
-    issued: Mutex<Vec<SignedDelegation>>,
     /// Authorization fast path, dedicated to this guard's
     /// (registry, repository, bus) triple.
     cache: AuthCache,
@@ -58,7 +57,6 @@ impl Guard {
             repository,
             bus,
             acl: RwLock::new(Vec::new()),
-            issued: Mutex::new(Vec::new()),
             cache: AuthCache::new(),
         }
     }
@@ -124,10 +122,8 @@ impl Guard {
         DelegationBuilder::new(&self.entity)
     }
 
-    /// Sign, record, and publish a credential built with
-    /// [`issue`](Self::issue).
+    /// Publish a credential built with [`issue`](Self::issue).
     pub fn publish(&self, cred: SignedDelegation) -> SignedDelegation {
-        self.issued.lock().push(cred.clone());
         self.repository.publish_at_issuer(cred.clone());
         cred
     }
@@ -157,11 +153,6 @@ impl Guard {
         let renewed = SignedDelegation { body, signature };
         self.bus.revoke(&cred.id());
         self.publish(renewed)
-    }
-
-    /// All credentials this guard has issued and published.
-    pub fn issued(&self) -> Vec<SignedDelegation> {
-        self.issued.lock().clone()
     }
 
     /// Append an ACL rule (checked in order; first match wins).

@@ -13,7 +13,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// A revocation notice delivered to monitors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,7 +209,19 @@ impl RevocationBus {
                 ids.push(id);
             }
         }
-        ValidityMonitor { valid, rx, ids }
+        ValidityMonitor {
+            valid,
+            rx,
+            ids,
+            bus: Arc::downgrade(&self.inner),
+        }
+    }
+
+    /// Number of registered monitor handles across all watched ids: one
+    /// per (live monitor, unrevoked id it watches). Dropping a monitor
+    /// removes its handles.
+    pub fn watcher_count(&self) -> usize {
+        self.inner.watchers.lock().values().map(Vec::len).sum()
     }
 
     /// Revoke a batch of credential ids (e.g. everything issued to a
@@ -285,11 +297,31 @@ impl RevocationBus {
 }
 
 /// Watches the credentials underlying a proof; flips invalid (and delivers
-/// a notice) the moment any of them is revoked.
+/// a notice) the moment any of them is revoked. Dropping it unregisters
+/// it from the bus, so a monitor over a never-revoked credential leaves
+/// nothing behind.
 pub struct ValidityMonitor {
     valid: Arc<AtomicBool>,
     rx: Receiver<RevocationNotice>,
     ids: Vec<String>,
+    bus: Weak<BusInner>,
+}
+
+impl Drop for ValidityMonitor {
+    fn drop(&mut self) {
+        let Some(bus) = self.bus.upgrade() else {
+            return;
+        };
+        let mut watchers = bus.watchers.lock();
+        for id in &self.ids {
+            if let Some(handles) = watchers.get_mut(id) {
+                handles.retain(|h| !Arc::ptr_eq(&h.valid, &self.valid));
+                if handles.is_empty() {
+                    watchers.remove(id);
+                }
+            }
+        }
+    }
 }
 
 impl ValidityMonitor {
@@ -382,6 +414,48 @@ mod tests {
         assert!(!m.is_valid());
         assert!(bus.is_revoked("a") && bus.is_revoked("b") && bus.is_revoked("c"));
         assert_eq!(bus.revoked_count(), 3);
+    }
+
+    #[test]
+    fn dropped_monitors_unregister() {
+        let bus = RevocationBus::new();
+        let keep = bus.monitor(["other".to_string()]);
+        let baseline = bus.watcher_count();
+        for _ in 0..1000 {
+            let m = bus.monitor(["live".to_string(), "live".to_string(), "other".to_string()]);
+            assert!(m.is_valid());
+        }
+        assert_eq!(bus.watcher_count(), baseline);
+        assert!(keep.is_valid());
+    }
+
+    #[test]
+    fn live_monitor_still_notified_beside_dropped_ones() {
+        let bus = RevocationBus::new();
+        let live = bus.monitor(["x".to_string()]);
+        drop(bus.monitor(["x".to_string()]));
+        bus.revoke("x");
+        assert!(!live.is_valid());
+        assert_eq!(live.try_notice().unwrap().credential_id, "x");
+    }
+
+    #[test]
+    fn revocation_after_drop_wakes_nobody() {
+        let bus = RevocationBus::new();
+        let m = bus.monitor(["x".to_string()]);
+        let valid = m.valid.clone();
+        drop(m);
+        assert_eq!(bus.watcher_count(), 0);
+        bus.revoke("x");
+        assert!(valid.load(Ordering::SeqCst), "no handle was left to flip");
+        assert_eq!(bus.watcher_count(), 0);
+    }
+
+    #[test]
+    fn monitor_outliving_its_bus_drops_cleanly() {
+        let m = RevocationBus::new().monitor(["x".to_string()]);
+        assert!(m.is_valid());
+        drop(m);
     }
 
     #[test]
