@@ -7,6 +7,9 @@ use std::net::TcpStream;
 /// prefixes.
 pub const MAX_FRAME: usize = 16 << 20;
 
+/// Most a TCP receiver allocates for a frame before its body arrives.
+const RECV_PREALLOC: usize = 64 << 10;
+
 /// Sending half of a transport.
 pub trait FrameSender: Send {
     /// Send one frame.
@@ -278,8 +281,16 @@ impl FrameReceiver for TcpReceiver {
                 "frame exceeds MAX_FRAME",
             ));
         }
-        let mut buf = vec![0u8; len];
-        stream.read_exact(&mut buf)?;
+        // Grow the buffer as bytes arrive: a declared length is not
+        // trusted with an up-front allocation before the handshake.
+        let mut buf = Vec::with_capacity(len.min(RECV_PREALLOC));
+        (&mut *stream).take(len as u64).read_to_end(&mut buf)?;
+        if buf.len() < len {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "peer closed mid-frame",
+            ));
+        }
         Ok(buf)
     }
 
@@ -537,5 +548,23 @@ mod tests {
         let (_tx, mut rx) = t.split();
         assert!(rx.recv().is_err());
         join.join().unwrap();
+    }
+
+    #[test]
+    fn tcp_short_body_is_unexpected_eof() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let join = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            // Declare the largest legal frame, send 16 bytes, close.
+            use std::io::Write;
+            s.write_all(&(MAX_FRAME as u32).to_le_bytes()).unwrap();
+            s.write_all(&[0xab; 16]).unwrap();
+        });
+        let t = Box::new(TcpTransport::new(TcpStream::connect(addr).unwrap()).unwrap());
+        let (_tx, mut rx) = t.split();
+        join.join().unwrap();
+        let err = rx.recv().unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }
