@@ -1298,6 +1298,9 @@ fn sharded_wal_check(
                 wal::WalOp::PurgeExpired { now } => {
                     oracle_repo.purge_expired(*now);
                 }
+                wal::WalOp::Withdraw { ids } => {
+                    oracle_repo.withdraw_ids(ids);
+                }
             }
         }
     }
@@ -1490,11 +1493,13 @@ fn repo_cmd(cli: &Cli, args: &[String]) -> i32 {
             Ok((d, report)) => {
                 cli.say(format!(
                     "  replay: {} publish(es), {} revocation(s) restored, \
-                     {} duplicate(s) skipped, {} purge record(s), epoch {}",
+                     {} duplicate(s) skipped, {} purge record(s), \
+                     {} withdraw record(s), epoch {}",
                     report.publishes,
                     report.revocations_restored,
                     report.duplicates_skipped,
                     report.purges,
+                    report.withdrawals,
                     report.epoch
                 ));
                 cli.say(format!(

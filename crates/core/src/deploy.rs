@@ -11,7 +11,7 @@ use crate::PsfError;
 use parking_lot::Mutex;
 use psf_drbac::entity::Entity;
 use psf_drbac::guard::Guard;
-use psf_drbac::SignedDelegation;
+use psf_drbac::{CredentialId, SignedDelegation};
 use psf_netsim::{Network, NodeId};
 use psf_switchboard::{
     pair_in_memory, pair_in_memory_plain, AuthSuite, Authorizer, Channel, ChannelConfig, ClockRef,
@@ -257,7 +257,8 @@ impl Deployment {
     /// Tear the deployment down: close every channel, release CPU
     /// reservations, and revoke the credentials issued to its components
     /// (instances die with their credentials — nothing lingers
-    /// authorized).
+    /// authorized), then withdraw them from the repository so its size
+    /// tracks live deployments, not how many have run.
     pub fn teardown(self, network: Option<&Network>, guard: &Guard) {
         for (client, server) in &self.channels {
             client.close();
@@ -268,10 +269,23 @@ impl Deployment {
                 net.release_cpu(*node, *units);
             }
         }
-        guard
-            .bus()
-            .revoke_all(self.issued_credentials.iter().map(|c| c.id()));
+        retire_credentials(guard, &self.issued_credentials);
     }
+}
+
+/// Revoke `creds` and withdraw them from the guard's repository, hashing
+/// each id once for both. Revocation comes first and the ids stay in the
+/// bus's revoked set: a holder can still present a withdrawn credential.
+fn retire_credentials(guard: &Guard, creds: &[SignedDelegation]) -> Vec<CredentialId> {
+    let ids: Vec<CredentialId> = creds.iter().map(|c| c.credential_id()).collect();
+    guard.bus().revoke_all(ids.iter().map(|id| id.as_str()));
+    guard.repository().withdraw(
+        creds
+            .iter()
+            .map(|c| &c.body.subject)
+            .zip(ids.iter().copied()),
+    );
+    ids
 }
 
 /// Wraps a [`ViewInstance`] as a callable endpoint.
@@ -506,8 +520,8 @@ impl Deployer {
     }
 
     /// Undo a partially executed attempt: close its channels, release its
-    /// CPU reservations, and revoke every credential it issued — nothing
-    /// acquired by a failed attempt outlives it.
+    /// CPU reservations, and revoke and withdraw every credential it
+    /// issued — nothing acquired by a failed attempt outlives it.
     fn rollback(&self, tx: TxState, attempt: u32, error: &PsfError) -> RollbackReport {
         psf_telemetry::counter!("psf.deploy.rollbacks").inc();
         let mut span = psf_telemetry::span("psf.deploy", "rollback");
@@ -522,8 +536,10 @@ impl Deployer {
                 released += units;
             }
         }
-        let ids: Vec<String> = tx.issued_credentials.iter().map(|c| c.id()).collect();
-        self.guard.bus().revoke_all(&ids);
+        let ids: Vec<String> = retire_credentials(&self.guard, &tx.issued_credentials)
+            .iter()
+            .map(|id| id.to_string())
+            .collect();
         span.field("attempt", attempt)
             .field("failed_step", tx.step)
             .field("released_cpu", released)

@@ -5,11 +5,12 @@
 
 use crate::model::ComponentSpec;
 use psf_drbac::entity::{EntityRegistry, Subject};
-use psf_drbac::proof::ProofEngine;
+use psf_drbac::proof::{PresentedSet, ProofEngine};
 use psf_drbac::repository::Repository;
 use psf_drbac::revocation::RevocationBus;
-use psf_drbac::{AttrSet, AuthCache, RoleName, SignedDelegation, Timestamp};
-use psf_netsim::{Network, NodeId};
+use psf_drbac::{AttrSet, AuthCache, RoleName, SignedDelegation};
+use psf_netsim::NodeId;
+use psf_switchboard::ClockRef;
 use std::collections::HashMap;
 
 /// Answers the planner's two authorization questions.
@@ -36,13 +37,15 @@ impl AuthOracle for PermissiveOracle {
     }
 }
 
-/// The dRBAC-backed oracle: proofs over the shared credential world.
+/// The dRBAC-backed oracle: proofs over the shared credential world,
+/// evaluated at the deployer's clock — the time preflight and execute
+/// check at — so the planner never proposes a placement whose
+/// credentials have expired by then.
 pub struct DrbacOracle {
     registry: EntityRegistry,
     repository: Repository,
     bus: RevocationBus,
-    network: Network,
-    now: Timestamp,
+    clock: ClockRef,
     /// Vendor role subjects for each node (`Comp.NY.PC` etc. are modeled
     /// directly by the node's vendor role, e.g. `Dell.Linux`) — the proof
     /// search starts from this subject.
@@ -51,31 +54,30 @@ pub struct DrbacOracle {
     /// for component authorization; nodes without one accept anything.
     node_exec_roles: HashMap<NodeId, (RoleName, AttrSet)>,
     /// Credentials presented on behalf of components (their exec-role
-    /// chains).
-    component_credentials: Vec<SignedDelegation>,
+    /// chains), hashed once when added.
+    component_credentials: PresentedSet,
     /// Fast path for the planner's repeated per-(component, node)
     /// authorization queries.
     cache: AuthCache,
 }
 
 impl DrbacOracle {
-    /// Build an oracle over the shared dRBAC world.
+    /// Build an oracle over the shared dRBAC world, reading the time from
+    /// `clock` on every query.
     pub fn new(
         registry: EntityRegistry,
         repository: Repository,
         bus: RevocationBus,
-        network: Network,
-        now: Timestamp,
+        clock: ClockRef,
     ) -> DrbacOracle {
         DrbacOracle {
             registry,
             repository,
             bus,
-            network,
-            now,
+            clock,
             node_subjects: HashMap::new(),
             node_exec_roles: HashMap::new(),
-            component_credentials: Vec::new(),
+            component_credentials: PresentedSet::default(),
             cache: AuthCache::new(),
         }
     }
@@ -97,9 +99,14 @@ impl DrbacOracle {
         self.node_exec_roles.insert(node, (role, attrs));
     }
 
-    /// Add credentials presented on behalf of components.
+    /// Add credentials presented on behalf of components. The presented
+    /// set is rebuilt (and hashed) here, never per query.
     pub fn add_component_credentials(&mut self, creds: Vec<SignedDelegation>) {
-        self.component_credentials.extend(creds);
+        let held = self
+            .component_credentials
+            .credentials()
+            .map(|(c, _)| SignedDelegation::clone(c));
+        self.component_credentials = PresentedSet::new(held.chain(creds));
     }
 
     fn engine(&self) -> ProofEngine<'_> {
@@ -107,7 +114,7 @@ impl DrbacOracle {
             &self.registry,
             &self.repository,
             &self.bus,
-            self.now,
+            self.clock.now(),
             &self.cache,
         )
     }
@@ -142,9 +149,8 @@ impl AuthOracle for DrbacOracle {
             "CPU",
             psf_drbac::AttrValue::Capacity(component.cpu_cost as i64),
         );
-        let _ = &self.network; // capacity checks live in the planner
         self.engine()
-            .prove_with(&subject, exec_role, &required, &self.component_credentials)
+            .prove_with_presented(&subject, exec_role, &required, &self.component_credentials)
             .is_ok()
     }
 }
@@ -154,22 +160,33 @@ mod tests {
     use super::*;
     use crate::model::Effect;
     use psf_drbac::entity::Entity;
-    use psf_drbac::{AttrValue, DelegationBuilder};
-    use psf_netsim::three_site_scenario;
+    use psf_drbac::{AttrValue, DelegationBuilder, Timestamp};
+    use psf_netsim::{three_site_scenario, Network};
 
     /// Build the Table 2 world: Mail policy roles, vendor roles, and the
     /// executable-role chains for SD and SE.
     struct T2 {
         oracle: DrbacOracle,
+        network: Network,
+        registry: EntityRegistry,
+        repo: Repository,
+        bus: RevocationBus,
         ny_node: NodeId,
         sd_node: NodeId,
         se_node: NodeId,
+        ny_pc: Entity,
         mail: Entity,
         ny: Entity,
         sd: Entity,
     }
 
     fn table2_world() -> T2 {
+        table2_world_at(ClockRef::new(), None)
+    }
+
+    /// The Table 2 world on `clock`, with Dell's certification of the NY
+    /// machine (credential 7) expiring at `ny_pc_expiry` when given.
+    fn table2_world_at(clock: ClockRef, ny_pc_expiry: Option<Timestamp>) -> T2 {
         let scenario = three_site_scenario(1);
         let registry = EntityRegistry::new();
         let repo = Repository::new();
@@ -215,12 +232,13 @@ mod tests {
                 .sign(),
         );
         // (7)/(13)/(16): vendors certify the machines.
-        repo.publish_at_issuer(
-            DelegationBuilder::new(&dell)
-                .subject_entity(&ny_pc)
-                .role(dell.role("Linux"))
-                .sign(),
-        );
+        let mut ny_pc_cred = DelegationBuilder::new(&dell)
+            .subject_entity(&ny_pc)
+            .role(dell.role("Linux"));
+        if let Some(t) = ny_pc_expiry {
+            ny_pc_cred = ny_pc_cred.expires(t);
+        }
+        repo.publish_at_issuer(ny_pc_cred.sign());
         repo.publish_at_issuer(
             DelegationBuilder::new(&dell)
                 .subject_entity(&sd_pc)
@@ -255,7 +273,7 @@ mod tests {
                 .sign(),
         );
 
-        let mut oracle = DrbacOracle::new(registry, repo, bus, scenario.network.clone(), 0);
+        let mut oracle = DrbacOracle::new(registry.clone(), repo.clone(), bus.clone(), clock);
         oracle.set_node_subject(scenario.ny[0], ny_pc.as_subject());
         oracle.set_node_subject(scenario.sd[0], sd_pc.as_subject());
         oracle.set_node_subject(scenario.se[0], se_pc.as_subject());
@@ -264,9 +282,14 @@ mod tests {
         oracle.add_component_credentials(comp_creds);
         T2 {
             oracle,
+            network: scenario.network,
+            registry,
+            repo,
+            bus,
             ny_node: scenario.ny[0],
             sd_node: scenario.sd[0],
             se_node: scenario.se[0],
+            ny_pc,
             mail,
             ny,
             sd,
@@ -338,5 +361,94 @@ mod tests {
         let c = encryptor(&t, 10, false);
         assert!(!t.oracle.node_authorized(&c, NodeId(999)));
         let _ = (&t.ny, &t.sd);
+    }
+
+    /// The oracle reads the deployer's clock on every query: once Dell's
+    /// certification of the NY machine expires, the planner stops placing
+    /// components there, and preflight — evaluating at the same clock —
+    /// agrees with both verdicts.
+    #[test]
+    fn expired_node_credential_stops_the_planner_and_preflight_agrees() {
+        use crate::deploy::{AppBundle, Deployer};
+        use crate::model::Goal;
+        use crate::planner::{Plan, PlanStep, Planner, PlannerConfig};
+        use crate::registrar::Registrar;
+        use psf_drbac::guard::Guard;
+        use psf_views::ComponentClass;
+        use std::sync::Arc;
+
+        let clock = ClockRef::new();
+        let t = table2_world_at(clock.clone(), Some(100));
+        let stamp = ComponentSpec::processor("Stamp", "MailI", "StampI", Effect::Identity)
+            .cpu(10)
+            .exec_role(RoleName::new("Mail", "Encryptor"))
+            .node_role(t.mail.role("Node"), AttrSet::new());
+        let registrar = Registrar::new();
+        registrar.register(ComponentSpec::source("MailServer", "MailI"));
+        registrar.register(stamp.clone());
+        registrar.record_deployed("MailServer", t.ny_node);
+        let goal = Goal {
+            iface: "StampI".into(),
+            client_node: t.ny_node,
+            max_latency_ms: None,
+            require_privacy: false,
+            require_plaintext_delivery: false,
+        };
+        let plan = || {
+            Planner::new(&registrar, &t.network, &t.oracle, PlannerConfig::default())
+                .plan(&goal)
+                .unwrap()
+                .0
+        };
+        let placements = |p: &Plan| -> Vec<NodeId> {
+            p.steps
+                .iter()
+                .filter_map(|s| match s {
+                    PlanStep::Deploy { node, .. } => Some(*node),
+                    _ => None,
+                })
+                .collect()
+        };
+        let class = ComponentClass::builder("Stamp")
+            .interface("StampI", ["stamp"])
+            .field("n", "int")
+            .method("stamp", "int stamp()", &["n"], false, |st, _| {
+                Ok(st.get("n"))
+            })
+            .build()
+            .unwrap();
+        let guard = Arc::new(Guard::new(
+            Entity::with_seed("Deploy.Domain", b"t2"),
+            EntityRegistry::new(),
+            Repository::new(),
+            RevocationBus::new(),
+        ));
+        let deployer = Deployer::new(guard, clock.clone(), AppBundle::new().class("Stamp", class))
+            .with_network(t.network.clone());
+        // What preflight would conclude about the NY machine right now.
+        let live_verdict = || {
+            ProofEngine::new(&t.registry, &t.repo, &t.bus, deployer.clock().now())
+                .prove_with(
+                    &t.ny_pc.as_subject(),
+                    &t.mail.role("Node"),
+                    &AttrSet::new(),
+                    &[],
+                )
+                .is_ok()
+        };
+
+        assert_eq!(placements(&plan()), vec![t.ny_node]);
+        assert!(live_verdict());
+        assert!(t.oracle.node_authorized(&stamp, t.ny_node));
+
+        clock.set(150);
+        assert!(!live_verdict());
+        assert!(!t.oracle.node_authorized(&stamp, t.ny_node));
+        let replanned = plan();
+        let placed = placements(&replanned);
+        assert_eq!(placed.len(), 1, "plan: {}", replanned.render());
+        assert_ne!(placed[0], t.ny_node, "plan: {}", replanned.render());
+        let violations = deployer.preflight(&registrar, &replanned, &goal);
+        assert!(violations.is_empty(), "{violations:?}");
     }
 }

@@ -23,6 +23,10 @@
 //!   successor no longer deep-clones the whole plan prefix. A dominance
 //!   memo over quantized state keys prunes dominated successors at push
 //!   time *and* stale queue entries at pop time (`psf.planner.memo.*`).
+//! * **Authorization memo**: within one plan the oracle is asked at most
+//!   once per (template, node) pair; the expansion workers share the
+//!   answers. A rejection still counts in `pruned_by_auth` every time a
+//!   state meets it, so the statistics do not depend on the memo.
 
 use crate::model::{ComponentSpec, Goal, IfaceProps};
 use crate::oracle::AuthOracle;
@@ -30,7 +34,7 @@ use crate::registrar::Registrar;
 use crate::PsfError;
 use psf_netsim::{Network, NodeId};
 use std::collections::{BinaryHeap, HashMap, HashSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One step of a deployment plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -273,6 +277,35 @@ impl State {
     }
 }
 
+/// The oracle's answers for one plan, one cell per (template index,
+/// node) pair. A cell is filled by the first expansion that needs it;
+/// concurrent workers wait on the cell instead of asking again.
+struct AuthMemo<'o> {
+    oracle: &'o dyn AuthOracle,
+    cells: HashMap<(usize, NodeId), OnceLock<bool>>,
+}
+
+impl<'o> AuthMemo<'o> {
+    fn new(oracle: &'o dyn AuthOracle, specs: usize, nodes: &[NodeId]) -> AuthMemo<'o> {
+        let cells = (0..specs)
+            .flat_map(|i| nodes.iter().map(move |&n| ((i, n), OnceLock::new())))
+            .collect();
+        AuthMemo { oracle, cells }
+    }
+
+    /// May template `index` (`spec`) run on `node`: node and component
+    /// authorization, in that order, as the oracle answered them first.
+    fn authorized(&self, index: usize, spec: &ComponentSpec, node: NodeId) -> bool {
+        let ask = || {
+            self.oracle.node_authorized(spec, node) && self.oracle.component_authorized(spec, node)
+        };
+        match self.cells.get(&(index, node)) {
+            Some(cell) => *cell.get_or_init(ask),
+            None => ask(),
+        }
+    }
+}
+
 /// Priority-queue wrapper (min-heap by cost).
 struct QueueEntry(State);
 
@@ -447,6 +480,7 @@ impl<'a> Planner<'a> {
             .into_iter()
             .filter(|&n| self.network.node_is_up(n))
             .collect();
+        let auth = AuthMemo::new(self.oracle, specs.len(), &nodes);
 
         while !heap.is_empty() {
             if stats.expanded as usize > self.config.max_expansions {
@@ -511,8 +545,9 @@ impl<'a> Planner<'a> {
             let specs_ref: &[ComponentSpec] = &specs;
             let nodes_ref: &[NodeId] = &nodes;
             let relevant_ref = &relevant;
+            let auth_ref = &auth;
             let successors: Vec<(Vec<State>, u64)> = if batch.len() == 1 {
-                vec![self.expand(&batch[0], goal, specs_ref, nodes_ref, relevant_ref)]
+                vec![self.expand(&batch[0], specs_ref, nodes_ref, relevant_ref, auth_ref)]
             } else {
                 // Carry the ambient trace context onto the scoped workers:
                 // spans opened inside `expand` (proof searches via the
@@ -525,7 +560,7 @@ impl<'a> Planner<'a> {
                         .map(|s| {
                             scope.spawn(move || {
                                 let _trace = trace_ctx.map(psf_telemetry::TraceContext::attach);
-                                self.expand(s, goal, specs_ref, nodes_ref, relevant_ref)
+                                self.expand(s, specs_ref, nodes_ref, relevant_ref, auth_ref)
                             })
                         })
                         .collect();
@@ -563,10 +598,10 @@ impl<'a> Planner<'a> {
     fn expand(
         &self,
         s: &State,
-        _goal: &Goal,
         specs: &[ComponentSpec],
         nodes: &[NodeId],
         relevant: &HashSet<String>,
+        auth: &AuthMemo<'_>,
     ) -> (Vec<State>, u64) {
         let mut out = Vec::new();
         let mut auth_pruned = 0u64;
@@ -600,7 +635,7 @@ impl<'a> Planner<'a> {
         }
 
         // Operator 2: deploy a component at the current node.
-        for spec in specs {
+        for (index, spec) in specs.iter().enumerate() {
             let Some(req) = &spec.requires else {
                 continue; // sources only enter via the registrar
             };
@@ -622,10 +657,8 @@ impl<'a> Planner<'a> {
             if available < already + spec.cpu_cost {
                 continue;
             }
-            // Authorization constraints (dRBAC).
-            if !self.oracle.node_authorized(spec, s.node)
-                || !self.oracle.component_authorized(spec, s.node)
-            {
+            // Authorization constraints (dRBAC), asked once per plan.
+            if !auth.authorized(index, spec, s.node) {
                 auth_pruned += 1;
                 continue;
             }
@@ -852,5 +885,75 @@ mod tests {
             .collect();
         assert_eq!(nodes.len(), 2);
         assert_ne!(nodes[0], nodes[1], "plan: {}", plan.render());
+    }
+
+    /// Counts every question per (template, node, which check) and
+    /// denies component authorization for one (template, node) pair.
+    struct CountingOracle {
+        asked: parking_lot::Mutex<HashMap<(String, NodeId, bool), u32>>,
+        deny: (&'static str, NodeId),
+    }
+
+    impl CountingOracle {
+        fn ask(&self, c: &ComponentSpec, n: NodeId, component: bool) {
+            *self
+                .asked
+                .lock()
+                .entry((c.name.clone(), n, component))
+                .or_default() += 1;
+        }
+    }
+
+    impl AuthOracle for CountingOracle {
+        fn node_authorized(&self, c: &ComponentSpec, n: NodeId) -> bool {
+            self.ask(c, n, false);
+            true
+        }
+        fn component_authorized(&self, c: &ComponentSpec, n: NodeId) -> bool {
+            self.ask(c, n, true);
+            (c.name.as_str(), n) != self.deny
+        }
+    }
+
+    #[test]
+    fn oracle_is_asked_once_per_template_and_node_per_plan() {
+        let s = three_site_scenario(3);
+        let r = mail_registrar();
+        r.record_deployed("MailServer", s.ny[0]);
+        let goal = Goal::private("MailI", s.se[2]);
+        for k in [1usize, 4] {
+            let oracle = CountingOracle {
+                asked: parking_lot::Mutex::new(HashMap::new()),
+                deny: ("Decryptor", s.se[2]),
+            };
+            let cfg = PlannerConfig {
+                parallel_expansion: k,
+                ..Default::default()
+            };
+            let (plan, stats) = Planner::new(&r, &s.network, &oracle, cfg.clone())
+                .plan(&goal)
+                .unwrap();
+            let asked = oracle.asked.lock();
+            assert!(!asked.is_empty(), "k={k}");
+            for (pair, n) in asked.iter() {
+                assert_eq!(*n, 1, "k={k}: {pair:?} asked {n} times");
+            }
+            // The denied pair was asked once, yet every state that met it
+            // counts as pruned.
+            assert_eq!(asked.get(&("Decryptor".into(), s.se[2], true)), Some(&1));
+            assert!(stats.pruned_by_auth >= 1, "k={k}");
+            assert!(!plan.steps.iter().any(|st| matches!(
+                st,
+                PlanStep::Deploy { spec, node, .. } if spec == "Decryptor" && *node == s.se[2]
+            )));
+            drop(asked);
+            // A second plan asks again: the memo lives for one plan.
+            let (again, again_stats) = Planner::new(&r, &s.network, &oracle, cfg)
+                .plan(&goal)
+                .unwrap();
+            assert_eq!(again, plan, "k={k}");
+            assert_eq!(again_stats, stats, "k={k}");
+            assert!(oracle.asked.lock().values().all(|&n| n == 2), "k={k}");
+        }
     }
 }

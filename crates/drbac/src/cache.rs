@@ -20,10 +20,14 @@
 //!
 //! 2. **Proof cache** — memoizes whole `prove()` results, keyed by
 //!    `(subject, role, fingerprint of the presented credential set)`.
-//!    Entries pin the repository and registry epochs they were computed
-//!    under and are checked against them on lookup, so repository
-//!    publishes/purges and registry registrations invalidate. Positive
-//!    entries additionally carry a [`ValidityMonitor`] over **every
+//!    Entries pin the repository state and the registry they were
+//!    computed under and are checked against them on lookup, so
+//!    repository publishes/purges/withdrawals and registry changes
+//!    invalidate. Negative entries pin the registry's full epoch (any new
+//!    name can resolve an `UnknownIssuer` dead end); positive entries pin
+//!    only its rekey count, unless their search met an unresolvable name,
+//!    since a new name cannot change a search that never looked one up in
+//!    vain. Positive entries additionally carry a [`ValidityMonitor`] over **every
 //!    credential examined by the search** (a superset of
 //!    `Proof::credential_ids`) plus the earliest future expiry among
 //!    them; negative entries are valid only while logical time moves
@@ -65,7 +69,7 @@ pub(crate) struct ProofKey {
 /// each credential id, combined commutatively (wrapping sum + xor) with
 /// the set size. Collisions require two distinct id multisets agreeing on
 /// all three 64-bit aggregates — negligible against sha256-derived ids.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PresentedFingerprint {
     sum: u64,
     xor: u64,
@@ -105,6 +109,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 /// a cache miss; decides how long the resulting entry stays exact.
 #[derive(Debug, Default, Clone)]
 pub struct Frontier {
+    /// Whether some registry lookup during the search found no key. A
+    /// later registration of that name could change the search, so such
+    /// a result pins the registry's full epoch, not just its rekeys.
+    pub unresolved: bool,
     /// Ids of every credential the search examined.
     pub ids: Vec<CredentialId>,
     /// Canonical subject keys the search queried the repository for —
@@ -132,15 +140,41 @@ impl Frontier {
     }
 }
 
+/// The registry's two counters, read together before a search reads
+/// anything (see [`EntityRegistry::epoch`](crate::EntityRegistry::epoch)
+/// and [`EntityRegistry::rekeys`](crate::EntityRegistry::rekeys)).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RegistryMarks {
+    pub epoch: u64,
+    pub rekeys: u64,
+}
+
+/// What a positive entry pins of the registry: its rekey count when every
+/// name the search looked up resolved, its full epoch otherwise.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum RegistryPin {
+    Rekeys(u64),
+    Epoch(u64),
+}
+
+impl RegistryPin {
+    fn holds(self, current: RegistryMarks) -> bool {
+        match self {
+            RegistryPin::Rekeys(r) => r == current.rekeys,
+            RegistryPin::Epoch(e) => e == current.epoch,
+        }
+    }
+}
+
 struct PositiveEntry {
     proof: Proof,
     stats: SearchStats,
     /// The proof-carrying certificate emitted for this entry, attached
-    /// lazily by `ProofEngine::prove_certified`. It shares the entry's
-    /// validity window exactly: the certificate pins the same epochs the
-    /// entry does, so whenever the entry is a legal hit the certificate
-    /// is still the one a fresh emission would produce (modulo nothing —
-    /// emission is deterministic in the proof and the pinned epochs).
+    /// lazily by `ProofEngine::prove_certified`. It carries the same
+    /// proof a fresh emission would, but keeps the repository and registry
+    /// epochs from when it was emitted: a hit can outlive those epochs
+    /// (publishes into other shards, registrations of unrelated names),
+    /// and the checker only requires a pinned epoch not to be ahead.
     cert: Option<Arc<psf_cert::AuthCertificate>>,
     /// Watches every credential the search examined — any revocation in
     /// the frontier (not just the proof chain) invalidates.
@@ -155,7 +189,7 @@ struct PositiveEntry {
     /// are unchanged — publishes into other shards don't evict it. When
     /// absent (unsharded source), the global `repo_epoch` pin applies.
     shard_marks: Option<Vec<(u32, u64)>>,
-    registry_epoch: u64,
+    registry: RegistryPin,
     observed_now: Timestamp,
 }
 
@@ -299,7 +333,7 @@ impl AuthCache {
         now: Timestamp,
         repo_epoch: Option<u64>,
         shard_marks: Option<&[u64]>,
-        registry_epoch: u64,
+        registry: RegistryMarks,
     ) -> Option<Result<(Proof, SearchStats), (DrbacError, SearchStats)>> {
         let mut proofs = self.inner.proofs.lock();
         let hit = match proofs.get(key) {
@@ -319,7 +353,7 @@ impl AuthCache {
                     _ => p.repo_epoch.is_some() && p.repo_epoch == repo_epoch,
                 };
                 universe_pinned
-                    && p.registry_epoch == registry_epoch
+                    && p.registry.holds(registry)
                     && now >= p.observed_now
                     && p.next_expiry.is_none_or(|e| now < e)
                     && p.monitor.is_valid()
@@ -330,7 +364,7 @@ impl AuthCache {
                 // monotone-decreasing in `now` and revocations only grow.
                 n.repo_epoch.is_some()
                     && n.repo_epoch == repo_epoch
-                    && n.registry_epoch == registry_epoch
+                    && n.registry_epoch == registry.epoch
                     && now >= n.observed_now
             }
         };
@@ -356,7 +390,7 @@ impl AuthCache {
     /// pairs for every shard the search queried, with marks captured
     /// **before** the search read any data (soundness: if a mark is still
     /// unchanged at a later lookup, no mutation became visible to the
-    /// recorded search).
+    /// recorded search). `registry` is read at the same point.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn insert_proof(
         &self,
@@ -366,7 +400,7 @@ impl AuthCache {
         bus: &RevocationBus,
         repo_epoch: Option<u64>,
         shard_pins: Option<Vec<(u32, u64)>>,
-        registry_epoch: u64,
+        registry: RegistryMarks,
         now: Timestamp,
     ) {
         // No caching at all without a repository epoch: a versionless
@@ -384,14 +418,18 @@ impl AuthCache {
                 next_expiry: frontier.next_expiry,
                 repo_epoch,
                 shard_marks: shard_pins,
-                registry_epoch,
+                registry: if frontier.unresolved {
+                    RegistryPin::Epoch(registry.epoch)
+                } else {
+                    RegistryPin::Rekeys(registry.rekeys)
+                },
                 observed_now: now,
             }),
             Err((error, stats)) => ProofEntry::Failed(NegativeEntry {
                 error: error.clone(),
                 stats: *stats,
                 repo_epoch,
-                registry_epoch,
+                registry_epoch: registry.epoch,
                 observed_now: now,
             }),
         };
@@ -467,7 +505,7 @@ impl AuthCache {
 mod tests {
     use super::*;
     use crate::delegation::DelegationBuilder;
-    use crate::entity::Entity;
+    use crate::entity::{Entity, RoleName};
 
     #[test]
     fn cred_cache_memoizes_signature_only() {
@@ -542,5 +580,70 @@ mod tests {
         assert_eq!(fwd, rev);
         assert_ne!(fwd, PresentedFingerprint::of(&[a]));
         assert_ne!(fwd, PresentedFingerprint::of(&[b]));
+    }
+
+    /// Positive entries survive registrations of new names but not a
+    /// changed key; negative entries lift on any registration.
+    #[test]
+    fn positive_entries_pin_rekeys_negative_entries_pin_the_epoch() {
+        use crate::entity::EntityRegistry;
+        use crate::proof::ProofEngine;
+        use crate::repository::Repository;
+
+        let registry = EntityRegistry::new();
+        let repo = Repository::new();
+        let bus = RevocationBus::new();
+        let ny = Entity::with_seed("Comp.NY", b"rk");
+        let sd = Entity::with_seed("Comp.SD", b"rk");
+        let alice = Entity::with_seed("Alice", b"rk");
+        registry.register(&ny);
+        registry.register(&alice);
+        repo.publish_at_issuer(
+            DelegationBuilder::new(&ny)
+                .subject_entity(&alice)
+                .role(ny.role("Member"))
+                .sign(),
+        );
+        repo.publish_at_issuer(
+            DelegationBuilder::new(&sd)
+                .subject_entity(&alice)
+                .role(sd.role("Member"))
+                .sign(),
+        );
+        let cache = AuthCache::new();
+        let prove = |role: &RoleName| {
+            ProofEngine::with_cache(&registry, &repo, &bus, 0, &cache)
+                .prove(&alice.as_subject(), role, &[])
+                .is_ok()
+        };
+        let hits = || cache.stats().proof_hits;
+        let (member, sd_member) = (ny.role("Member"), sd.role("Member"));
+        assert!(prove(&member));
+        assert!(!prove(&sd_member), "Comp.SD is not registered yet");
+
+        // A new name: the positive entry hits, the negative one lifts.
+        let rekeys = registry.rekeys();
+        registry.register(&sd);
+        assert_eq!(registry.rekeys(), rekeys);
+        let h = hits();
+        assert!(prove(&member));
+        assert_eq!(hits(), h + 1);
+        assert!(prove(&sd_member));
+        assert_eq!(hits(), h + 1, "the cached failure was not reused");
+
+        // Re-registering the same key is not a rekey.
+        registry.register(&ny);
+        assert_eq!(registry.rekeys(), rekeys);
+        assert!(prove(&member));
+        assert_eq!(hits(), h + 2);
+
+        // A different key under a chain name invalidates the proof.
+        registry.register_key(
+            ny.name.clone(),
+            Entity::with_seed("Comp.NY", b"x").public_key(),
+        );
+        assert_eq!(registry.rekeys(), rekeys + 1);
+        assert!(!prove(&member));
+        assert_eq!(hits(), h + 2);
     }
 }

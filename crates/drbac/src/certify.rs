@@ -12,10 +12,10 @@
 //! everything else from scratch.
 
 use crate::attr::{AttrSet, AttrValue};
-use crate::cache::{PresentedFingerprint, ProofKey};
+use crate::cache::ProofKey;
 use crate::delegation::SignedDelegation;
 use crate::entity::{EntityName, EntityRegistry, RoleName, Subject};
-use crate::proof::{Proof, ProofEngine, ProofError, SearchStats};
+use crate::proof::{require_attrs, PresentedSet, Proof, ProofEngine, ProofError, SearchStats};
 use crate::repository::subject_key;
 use crate::revocation::RevocationBus;
 use crate::Timestamp;
@@ -154,19 +154,30 @@ impl ProofEngine<'_> {
         target: &RoleName,
         presented: &[SignedDelegation],
     ) -> Result<(Proof, Arc<AuthCertificate>, SearchStats), ProofError> {
+        self.prove_certified_presented(
+            subject,
+            target,
+            &PresentedSet::new(presented.iter().cloned()),
+        )
+    }
+
+    /// [`prove_certified`](Self::prove_certified) over a presented set
+    /// hashed once by its builder: the search and the certificate's cache
+    /// key share its fingerprint.
+    pub fn prove_certified_presented(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        presented: &PresentedSet,
+    ) -> Result<(Proof, Arc<AuthCertificate>, SearchStats), ProofError> {
         let repo_epoch = self.source().version();
-        let (proof, stats) = self.prove(subject, target, presented)?;
+        let (proof, stats) = self.prove_presented(subject, target, presented)?;
         let cert = match self.auth_cache() {
             Some(cache) => {
                 let key = ProofKey {
                     subject: subject_key(subject),
                     role: target.to_string(),
-                    presented: PresentedFingerprint::of(
-                        &presented
-                            .iter()
-                            .map(|c| c.credential_id())
-                            .collect::<Vec<_>>(),
-                    ),
+                    presented: presented.fingerprint(),
                 };
                 match cache.lookup_certificate(&key) {
                     Some(cert) => cert,
@@ -193,17 +204,8 @@ impl ProofEngine<'_> {
         presented: &[SignedDelegation],
     ) -> Result<(Proof, Arc<AuthCertificate>, SearchStats), ProofError> {
         let (proof, cert, stats) = self.prove_certified(subject, target, presented)?;
-        if proof.attrs.satisfies(required) {
-            Ok((proof, cert, stats))
-        } else {
-            Err(ProofError {
-                error: crate::DrbacError::NoProof {
-                    subject: subject.render(),
-                    role: format!("{target}{}", required.render()),
-                },
-                stats,
-            })
-        }
+        require_attrs(subject, target, required, &proof.attrs, stats)?;
+        Ok((proof, cert, stats))
     }
 }
 

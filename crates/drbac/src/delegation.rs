@@ -125,6 +125,16 @@ impl CredentialId {
     pub fn as_str(&self) -> &str {
         std::str::from_utf8(&self.0).expect("hex digits are ASCII")
     }
+
+    /// The id whose digits are `digits`, or `None` unless all sixteen are
+    /// lowercase hex (the only form [`SignedDelegation::credential_id`]
+    /// produces).
+    pub(crate) fn from_digits(digits: [u8; 16]) -> Option<CredentialId> {
+        digits
+            .iter()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+            .then_some(CredentialId(digits))
+    }
 }
 
 impl std::fmt::Display for CredentialId {

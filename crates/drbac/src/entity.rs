@@ -208,6 +208,10 @@ struct RegistryInner {
     // Bumped on every registration: proof caches use it to notice that a
     // previously-unknown issuer may have become resolvable.
     epoch: std::sync::atomic::AtomicU64,
+    // Bumped only when a registration replaces a name's key with a
+    // different one — the one registry change that can break a proof
+    // whose every name resolved.
+    rekeys: std::sync::atomic::AtomicU64,
 }
 
 impl EntityRegistry {
@@ -218,16 +222,17 @@ impl EntityRegistry {
 
     /// Register an entity's public key.
     pub fn register(&self, entity: &Entity) {
-        self.inner
-            .map
-            .write()
-            .insert(entity.name.clone(), entity.public_key());
-        self.bump();
+        self.register_key(entity.name.clone(), entity.public_key());
     }
 
     /// Register a bare name/key pair.
     pub fn register_key(&self, name: EntityName, key: VerifyingKey) {
-        self.inner.map.write().insert(name, key);
+        let previous = self.inner.map.write().insert(name, key);
+        if previous.is_some_and(|old| old != key) {
+            self.inner
+                .rekeys
+                .fetch_add(1, std::sync::atomic::Ordering::AcqRel);
+        }
         self.bump();
     }
 
@@ -251,6 +256,14 @@ impl EntityRegistry {
     /// `UnknownIssuer` dead end into a provable chain).
     pub fn epoch(&self) -> u64 {
         self.inner.epoch.load(std::sync::atomic::Ordering::Acquire)
+    }
+
+    /// Monotonic counter bumped only when a registration *replaces* a
+    /// name's key with a different one. Cached positive proofs pin it
+    /// instead of [`epoch`](Self::epoch): a brand-new name cannot break a
+    /// proof whose every name resolved, a changed key can.
+    pub fn rekeys(&self) -> u64 {
+        self.inner.rekeys.load(std::sync::atomic::Ordering::Acquire)
     }
 
     fn bump(&self) {

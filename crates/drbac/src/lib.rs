@@ -66,7 +66,7 @@ pub use delegation::{
 };
 pub use entity::{Entity, EntityName, EntityRegistry, RoleName, Subject};
 pub use guard::Guard;
-pub use proof::{Proof, ProofEngine, ProofError, SearchStats};
+pub use proof::{PresentedSet, Proof, ProofEngine, ProofError, SearchStats};
 pub use repository::{
     subject_key, CredentialSource, DiscoveryTag, RepoEvent, RepoObserver, Repository, ShardInfo,
     DEFAULT_SHARD_COUNT,

@@ -12,7 +12,7 @@
 //! [`verify`]: Proof::verify
 
 use crate::attr::AttrSet;
-use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey};
+use crate::cache::{AuthCache, Frontier, PresentedFingerprint, ProofKey, RegistryMarks};
 use crate::delegation::{CredentialId, DelegationKind, SignedDelegation};
 use crate::entity::{EntityRegistry, RoleName, Subject};
 #[cfg(test)]
@@ -21,10 +21,82 @@ use crate::repository::{subject_key, CredentialSource};
 use crate::revocation::RevocationBus;
 use crate::{DrbacError, Timestamp};
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 /// A credential shared for the duration of a search, with its id.
 type Candidate = (Arc<SignedDelegation>, CredentialId);
+
+/// A presented credential set (the set X a requester hands over), hashed
+/// once: every credential is `Arc`-shared with its id, and the set's
+/// proof-cache fingerprint is computed at construction. The fields are
+/// private and the set is immutable, so none of them can go stale. A
+/// caller that presents the same set repeatedly builds it once and passes
+/// it to [`ProofEngine::prove_presented`]; the slice entry points build a
+/// throwaway set per call.
+#[derive(Debug, Clone, Default)]
+pub struct PresentedSet {
+    creds: Vec<Candidate>,
+    /// Positions in `creds` by canonical subject key, built by the first
+    /// search that needs it (a cache hit never does).
+    by_subject: OnceLock<HashMap<String, Vec<usize>>>,
+    fingerprint: PresentedFingerprint,
+}
+
+impl PresentedSet {
+    /// Share and hash `creds` once.
+    pub fn new(creds: impl IntoIterator<Item = SignedDelegation>) -> PresentedSet {
+        let creds: Vec<Candidate> = creds
+            .into_iter()
+            .map(|c| {
+                let id = c.credential_id();
+                (Arc::new(c), id)
+            })
+            .collect();
+        let ids: Vec<CredentialId> = creds.iter().map(|(_, id)| *id).collect();
+        PresentedSet {
+            fingerprint: PresentedFingerprint::of(&ids),
+            creds,
+            by_subject: OnceLock::new(),
+        }
+    }
+
+    /// The presented credentials, each with its id, in presentation order.
+    pub fn credentials(&self) -> impl Iterator<Item = (&Arc<SignedDelegation>, CredentialId)> {
+        self.creds.iter().map(|(c, id)| (c, *id))
+    }
+
+    /// The set's proof-cache fingerprint.
+    pub(crate) fn fingerprint(&self) -> PresentedFingerprint {
+        self.fingerprint
+    }
+
+    /// Presented credentials whose subject has canonical key `key`.
+    fn by_subject(&self, key: &str) -> impl Iterator<Item = &Candidate> {
+        let index = self.by_subject.get_or_init(|| {
+            let mut index: HashMap<String, Vec<usize>> = HashMap::new();
+            for (i, (c, _)) in self.creds.iter().enumerate() {
+                index
+                    .entry(subject_key(&c.body.subject))
+                    .or_default()
+                    .push(i);
+            }
+            index
+        });
+        index
+            .get(key)
+            .into_iter()
+            .flatten()
+            .map(|&i| &self.creds[i])
+    }
+}
+
+/// Mark the frontier when a credential was rejected because a name did
+/// not resolve: registering that name later could change the search.
+fn note_rejection(frontier: &mut Frontier, error: &DrbacError) {
+    if matches!(error, DrbacError::UnknownIssuer(_)) {
+        frontier.unresolved = true;
+    }
+}
 
 /// One edge of a proof chain: the credential plus, for third-party
 /// delegations, the assignment-right proof authorizing its issuer.
@@ -354,6 +426,27 @@ fn effective_edge_attrs(
     }
 }
 
+/// The paper's attribute constraint on a proven chain: `attrs` must
+/// satisfy `required`, or the query fails as if no proof existed.
+pub(crate) fn require_attrs(
+    subject: &Subject,
+    target: &RoleName,
+    required: &AttrSet,
+    attrs: &AttrSet,
+    stats: SearchStats,
+) -> Result<(), ProofError> {
+    if attrs.satisfies(required) {
+        return Ok(());
+    }
+    Err(ProofError {
+        error: DrbacError::NoProof {
+            subject: subject.render(),
+            role: format!("{target}{}", required.render()),
+        },
+        stats,
+    })
+}
+
 /// Search statistics from a proof query (drives experiments F2/F8).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SearchStats {
@@ -447,36 +540,53 @@ impl<'a> ProofEngine<'a> {
     /// Prove that `subject` holds `target`, drawing on `presented`
     /// credentials (the set X handed over by the requester) plus whatever
     /// the repository can discover. Returns the proof and search stats.
+    /// Builds a [`PresentedSet`] for this one call; see
+    /// [`prove_presented`](Self::prove_presented).
     pub fn prove(
         &self,
         subject: &Subject,
         target: &RoleName,
         presented: &[SignedDelegation],
     ) -> Result<(Proof, SearchStats), ProofError> {
+        self.prove_presented(
+            subject,
+            target,
+            &PresentedSet::new(presented.iter().cloned()),
+        )
+    }
+
+    /// [`prove`](Self::prove) over a presented set hashed once by its
+    /// builder.
+    pub fn prove_presented(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        presented: &PresentedSet,
+    ) -> Result<(Proof, SearchStats), ProofError> {
         let mut span = psf_telemetry::span("psf.drbac", "prove");
         span.field("target", target);
         let start = std::time::Instant::now();
         psf_telemetry::counter!("psf.drbac.prove.calls").inc();
 
-        // Each presented credential is hashed once per authorization: the
-        // ids serve the cache key and the whole search.
-        let presented_ids: Vec<CredentialId> =
-            presented.iter().map(|c| c.credential_id()).collect();
         let key = self.cache.map(|_| ProofKey {
             subject: subject_key(subject),
             role: target.to_string(),
-            presented: PresentedFingerprint::of(&presented_ids),
+            presented: presented.fingerprint(),
         });
-        // Epoch and per-shard high-water marks captured BEFORE the search
-        // reads any repository data. If a mark is unchanged at some later
-        // lookup, no mutation to that shard was visible to this search —
-        // the seqlock-style argument per-shard pinning rests on.
+        // Registry counters, epoch and per-shard high-water marks captured
+        // BEFORE the search reads any registry or repository data. If a
+        // mark is unchanged at some later lookup, no mutation to that
+        // shard was visible to this search — the seqlock-style argument
+        // per-shard pinning rests on; the registry pins argue the same way.
+        let registry = RegistryMarks {
+            epoch: self.registry.epoch(),
+            rekeys: self.registry.rekeys(),
+        };
         let repo_epoch = self.repository.version();
         let marks = self.repository.shard_marks();
         if let (Some(cache), Some(key)) = (self.cache, key.as_ref()) {
-            let registry_epoch = self.registry.epoch();
             if let Some(cached) =
-                cache.lookup_proof(key, self.now, repo_epoch, marks.as_deref(), registry_epoch)
+                cache.lookup_proof(key, self.now, repo_epoch, marks.as_deref(), registry)
             {
                 let result = cached.map_err(|(error, stats)| ProofError { error, stats });
                 if result.is_err() {
@@ -490,7 +600,7 @@ impl<'a> ProofEngine<'a> {
         }
 
         let mut frontier = Frontier::default();
-        let result = self.prove_search(subject, target, presented, &presented_ids, &mut frontier);
+        let result = self.prove_search(subject, target, presented, &mut frontier);
         if let (Some(cache), Some(key)) = (self.cache, key) {
             let plain = match &result {
                 Ok(ok) => Ok(ok.clone()),
@@ -511,14 +621,7 @@ impl<'a> ProofEngine<'a> {
                 pins
             });
             cache.insert_proof(
-                key,
-                &plain,
-                &frontier,
-                self.bus,
-                repo_epoch,
-                shard_pins,
-                self.registry.epoch(),
-                self.now,
+                key, &plain, &frontier, self.bus, repo_epoch, shard_pins, registry, self.now,
             );
         }
         let stats = match &result {
@@ -591,27 +694,10 @@ impl<'a> ProofEngine<'a> {
         &self,
         subject: &Subject,
         target: &RoleName,
-        presented: &[SignedDelegation],
-        presented_ids: &[CredentialId],
+        presented: &PresentedSet,
         frontier: &mut Frontier,
     ) -> Result<(Proof, SearchStats), ProofError> {
         let mut stats = SearchStats::default();
-        // Share the presented credentials for the whole search: one Arc
-        // per credential here, never a deep clone per expansion again.
-        let presented: Vec<Candidate> = presented
-            .iter()
-            .cloned()
-            .map(Arc::new)
-            .zip(presented_ids.iter().copied())
-            .collect();
-        // Index presented credentials by subject key.
-        let mut presented_idx: HashMap<String, Vec<Candidate>> = HashMap::new();
-        for c in &presented {
-            presented_idx
-                .entry(subject_key(&c.0.body.subject))
-                .or_default()
-                .push(c.clone());
-        }
 
         #[derive(Clone)]
         struct State {
@@ -634,8 +720,7 @@ impl<'a> ProofEngine<'a> {
             let key = subject_key(&state.node);
             frontier.note_subject(&key);
             // Candidate edges: presented + repository (both Arc-shared).
-            let mut candidates: Vec<Candidate> =
-                presented_idx.get(&key).cloned().unwrap_or_default();
+            let mut candidates: Vec<Candidate> = presented.by_subject(&key).cloned().collect();
             candidates.extend(self.repository.credentials_by_subject_with_ids(&state.node));
 
             for (cred, id) in candidates {
@@ -644,14 +729,15 @@ impl<'a> ProofEngine<'a> {
                 if cred.body.kind == DelegationKind::Assignment {
                     continue; // not a membership edge
                 }
-                if check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache)
-                    .is_err()
+                if let Err(e) =
+                    check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache)
                 {
+                    note_rejection(frontier, &e);
                     stats.credentials_rejected += 1;
                     continue;
                 }
                 // Issuer authorization (+ support construction).
-                let edge = match self.authorize_edge(cred, id, &presented, &mut stats, frontier) {
+                let edge = match self.authorize_edge(cred, id, presented, &mut stats, frontier) {
                     Some(e) => e,
                     None => {
                         stats.credentials_rejected += 1;
@@ -666,7 +752,8 @@ impl<'a> ProofEngine<'a> {
                     self.cache,
                 ) {
                     Ok(a) => a,
-                    Err(_) => {
+                    Err(e) => {
+                        note_rejection(frontier, &e);
                         stats.credentials_rejected += 1;
                         continue;
                     }
@@ -722,18 +809,26 @@ impl<'a> ProofEngine<'a> {
         required: &AttrSet,
         presented: &[SignedDelegation],
     ) -> Result<(Proof, SearchStats), ProofError> {
-        let (proof, stats) = self.prove(subject, target, presented)?;
-        if proof.attrs.satisfies(required) {
-            Ok((proof, stats))
-        } else {
-            Err(ProofError {
-                error: DrbacError::NoProof {
-                    subject: subject.render(),
-                    role: format!("{target}{}", required.render()),
-                },
-                stats,
-            })
-        }
+        self.prove_with_presented(
+            subject,
+            target,
+            required,
+            &PresentedSet::new(presented.iter().cloned()),
+        )
+    }
+
+    /// [`prove_with`](Self::prove_with) over a presented set hashed once
+    /// by its builder.
+    pub fn prove_with_presented(
+        &self,
+        subject: &Subject,
+        target: &RoleName,
+        required: &AttrSet,
+        presented: &PresentedSet,
+    ) -> Result<(Proof, SearchStats), ProofError> {
+        let (proof, stats) = self.prove_presented(subject, target, presented)?;
+        require_attrs(subject, target, required, &proof.attrs, stats)?;
+        Ok((proof, stats))
     }
 
     /// Convenience boolean query.
@@ -750,14 +845,17 @@ impl<'a> ProofEngine<'a> {
         &self,
         cred: Arc<SignedDelegation>,
         id: CredentialId,
-        presented: &[Candidate],
+        presented: &PresentedSet,
         stats: &mut SearchStats,
         frontier: &mut Frontier,
     ) -> Option<ProofEdge> {
         match cred.body.kind {
             DelegationKind::SelfCertifying => Some(ProofEdge::with_id(cred, id, None)),
             DelegationKind::ThirdParty => {
-                let issuer_key = self.registry.lookup(&cred.body.issuer)?;
+                let Some(issuer_key) = self.registry.lookup(&cred.body.issuer) else {
+                    frontier.unresolved = true;
+                    return None;
+                };
                 let holder = Subject::Entity {
                     name: cred.body.issuer.clone(),
                     key: issuer_key,
@@ -783,7 +881,7 @@ impl<'a> ProofEngine<'a> {
         &self,
         holder: &Subject,
         role: &RoleName,
-        presented: &[Candidate],
+        presented: &PresentedSet,
         in_progress: &mut HashSet<String>,
         stats: &mut SearchStats,
         frontier: &mut Frontier,
@@ -810,6 +908,7 @@ impl<'a> ProofEngine<'a> {
         // Assignment credentials naming this holder for this role.
         frontier.note_subject(&hkey);
         let mut candidates: Vec<Candidate> = presented
+            .creds
             .iter()
             .filter(|(c, _)| {
                 c.body.kind == DelegationKind::Assignment
@@ -830,14 +929,16 @@ impl<'a> ProofEngine<'a> {
         for (cred, id) in candidates {
             stats.credentials_examined += 1;
             frontier.note(&cred, id, self.now);
-            if check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache).is_err()
+            if let Err(e) =
+                check_edge_common(&cred, id, self.registry, self.bus, self.now, self.cache)
             {
+                note_rejection(frontier, &e);
                 stats.credentials_rejected += 1;
                 continue;
             }
-            let issuer_key = match self.registry.lookup(&cred.body.issuer) {
-                Some(k) => k,
-                None => continue,
+            let Some(issuer_key) = self.registry.lookup(&cred.body.issuer) else {
+                frontier.unresolved = true;
+                continue;
             };
             let issuer_subject = Subject::Entity {
                 name: cred.body.issuer.clone(),

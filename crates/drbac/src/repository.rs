@@ -185,6 +185,13 @@ pub enum RepoEvent<'a> {
         /// How many credentials were dropped.
         purged: usize,
     },
+    /// [`Repository::withdraw`] removed `ids` from shard `shard`.
+    Withdrawn {
+        /// The shard the credentials were stored in.
+        shard: usize,
+        /// Ids of the removed credentials.
+        ids: &'a [CredentialId],
+    },
 }
 
 /// One stored credential as snapshots and compaction see it: home node,
@@ -285,6 +292,94 @@ impl ShardData {
             tag,
         });
     }
+
+    /// Remove entry `idx` in place. Its index slots are dropped and the
+    /// last entry moves into its position, renumbered where its slots
+    /// stand, so every subject and object list keeps its order. The
+    /// removed entry's advertisements are rebuilt from the survivors
+    /// under the same keys, as `purge_expired` rebuilds them.
+    fn remove(&mut self, idx: u32) {
+        let e = &self.entries[idx as usize];
+        let (skey, okey) = (
+            subject_key(&e.cred.body.subject),
+            e.cred.body.object.to_string(),
+        );
+        let tag = e.tag;
+        unlink(&mut self.by_subject, &skey, idx);
+        unlink(&mut self.by_object, &okey, idx);
+        let last = (self.entries.len() - 1) as u32;
+        if idx != last {
+            let moved = &self.entries[last as usize].cred.body;
+            renumber(
+                &mut self.by_subject,
+                &subject_key(&moved.subject),
+                last,
+                idx,
+            );
+            renumber(&mut self.by_object, &moved.object.to_string(), last, idx);
+        }
+        self.entries.swap_remove(idx as usize);
+        if tag.advertises_subject() {
+            let homes = advertising(&self.entries, self.by_subject.get(&skey), |t| {
+                t.advertises_subject()
+            });
+            readvertise(&mut self.tag_subject, skey, homes);
+        }
+        if tag.advertises_object() {
+            let homes = advertising(&self.entries, self.by_object.get(&okey), |t| {
+                t.advertises_object()
+            });
+            readvertise(&mut self.tag_object, okey, homes);
+        }
+    }
+}
+
+/// Drop `idx` from `key`'s index list, and the key once it is empty.
+fn unlink(index: &mut HashMap<String, Vec<u32>>, key: &str, idx: u32) {
+    if let Some(list) = index.get_mut(key) {
+        list.retain(|&i| i != idx);
+        if list.is_empty() {
+            index.remove(key);
+        }
+    }
+}
+
+/// Rewrite the slot holding `from` in `key`'s index list to `to`.
+fn renumber(index: &mut HashMap<String, Vec<u32>>, key: &str, from: u32, to: u32) {
+    if let Some(slot) = index
+        .get_mut(key)
+        .and_then(|list| list.iter_mut().find(|i| **i == from))
+    {
+        *slot = to;
+    }
+}
+
+/// Homes of the entries at `indices` whose tag passes `advertises`.
+fn advertising(
+    entries: &[Entry],
+    indices: Option<&Vec<u32>>,
+    advertises: impl Fn(DiscoveryTag) -> bool,
+) -> HashSet<EntityName> {
+    indices
+        .into_iter()
+        .flatten()
+        .map(|&i| &entries[i as usize])
+        .filter(|e| advertises(e.tag))
+        .map(|e| e.home.clone())
+        .collect()
+}
+
+/// Set `key`'s advertised homes, dropping the key when none are left.
+fn readvertise(
+    tags: &mut HashMap<String, HashSet<EntityName>>,
+    key: String,
+    homes: HashSet<EntityName>,
+) {
+    if homes.is_empty() {
+        tags.remove(&key);
+    } else {
+        tags.insert(key, homes);
+    }
 }
 
 struct ShardState {
@@ -354,8 +449,8 @@ struct RepositoryInner {
     messages: AtomicU64,
     directed: AtomicU64,
     broadcast: AtomicU64,
-    // Bumped on every mutation (publish, purge): proof caches use it to
-    // decide whether a negative ("no proof") result is still current.
+    // Bumped on every mutation (publish, purge, withdraw): proof caches use
+    // it to decide whether a negative ("no proof") result is still current.
     epoch: AtomicU64,
     // Mutation observer (durability layer); invoked outside all locks.
     observer: RwLock<Option<RepoObserver>>,
@@ -671,6 +766,109 @@ impl Repository {
         expired
     }
 
+    /// Withdraw credentials: remove every stored entry (at any home) whose
+    /// subject is `subject` and whose id is `id`, for each pair in
+    /// `creds`. Only the subject's entries in the subject's shard are
+    /// compared, by their memoized ids (an entry no search has hashed yet
+    /// is hashed once, into its memo). Entries are removed in place (see
+    /// `ShardData::remove`): no shard is rebuilt. Each touched
+    /// shard's high-water mark moves, and the observer sees one
+    /// [`RepoEvent::Withdrawn`] per touched shard. Returns how many
+    /// entries were removed.
+    ///
+    /// Withdrawal is storage, not revocation: a holder can still present
+    /// a withdrawn credential, so it stays valid until it is revoked.
+    pub fn withdraw<'a>(
+        &self,
+        creds: impl IntoIterator<Item = (&'a Subject, CredentialId)>,
+    ) -> usize {
+        let mut by_shard: Vec<(usize, String, CredentialId)> = creds
+            .into_iter()
+            .map(|(subject, id)| {
+                let skey = subject_key(subject);
+                (self.shard_index(&skey), skey, id)
+            })
+            .collect();
+        by_shard.sort_unstable_by_key(|(shard, ..)| *shard);
+        let mut removed = 0;
+        for group in by_shard.chunk_by(|a, b| a.0 == b.0) {
+            let shard = group[0].0;
+            let ids = self.withdraw_from_shard(shard, |data| {
+                group.iter().find_map(|(_, skey, id)| {
+                    let indices = data.by_subject.get(skey)?;
+                    indices
+                        .iter()
+                        .copied()
+                        .find(|&i| data.entries[i as usize].id() == *id)
+                })
+            });
+            removed += ids.len();
+            self.notify_withdrawn(shard, &ids);
+        }
+        removed
+    }
+
+    /// [`withdraw`](Self::withdraw) by id alone, for callers that do not
+    /// know the subjects (a log replayed into an oracle): every shard is
+    /// scanned, so this costs a pass over the whole repository.
+    pub fn withdraw_ids(&self, ids: &[CredentialId]) -> usize {
+        (0..self.inner.shards.len())
+            .map(|shard| {
+                let removed = self.withdraw_ids_in_shard(shard, ids);
+                self.notify_withdrawn(shard, &removed);
+                removed.len()
+            })
+            .sum()
+    }
+
+    /// Withdraw `ids` from one shard wherever they are stored in it,
+    /// without notifying the observer. The durability layer replays
+    /// per-shard withdraw records with it.
+    pub(crate) fn withdraw_ids_in_shard(
+        &self,
+        shard: usize,
+        ids: &[CredentialId],
+    ) -> Vec<CredentialId> {
+        self.withdraw_from_shard(shard, |data| {
+            data.entries
+                .iter()
+                .position(|e| ids.contains(&e.id()))
+                .map(|i| i as u32)
+        })
+    }
+
+    /// Remove entries from `shard` one at a time, each the next one
+    /// `pick` finds, until it finds none; bump the shard's mark once if
+    /// anything went. Returns the removed ids, removal order.
+    fn withdraw_from_shard(
+        &self,
+        shard: usize,
+        mut pick: impl FnMut(&ShardData) -> Option<u32>,
+    ) -> Vec<CredentialId> {
+        let state = &self.inner.shards[shard];
+        let mut data = state.data.write();
+        let mut removed = Vec::new();
+        while let Some(idx) = pick(&data) {
+            removed.push(data.entries[idx as usize].id());
+            data.remove(idx);
+        }
+        if !removed.is_empty() {
+            let e = self.inner.epoch.fetch_add(1, Ordering::AcqRel) + 1;
+            state.high_water.fetch_max(e, Ordering::AcqRel);
+        }
+        removed
+    }
+
+    fn notify_withdrawn(&self, shard: usize, ids: &[CredentialId]) {
+        if ids.is_empty() {
+            return;
+        }
+        let observer = self.inner.observer.read().clone();
+        if let Some(obs) = observer {
+            obs(RepoEvent::Withdrawn { shard, ids });
+        }
+    }
+
     /// The repository's mutation epoch (see [`CredentialSource::version`]).
     pub fn epoch(&self) -> u64 {
         self.inner.epoch.load(Ordering::Acquire)
@@ -691,9 +889,9 @@ impl Repository {
     }
 
     /// Install (or clear) the mutation observer. The callback fires after
-    /// each `publish` / effective `purge_expired`, outside all repository
-    /// locks — it may re-enter the repository. The durability layer
-    /// ([`crate::wal`]) is the intended consumer.
+    /// each `publish` / effective `purge_expired` / effective `withdraw`,
+    /// outside all repository locks — it may re-enter the repository. The
+    /// durability layer ([`crate::wal`]) is the intended consumer.
     pub fn set_observer(&self, observer: Option<RepoObserver>) {
         *self.inner.observer.write() = observer;
     }
@@ -1061,5 +1259,139 @@ mod tests {
             let found = repo.query_by_subject(&u.as_subject());
             assert_eq!(found.len(), usize::from(i % 3 != 0), "U{i}");
         }
+    }
+
+    /// Withdrawing in place must leave exactly the store that publishing
+    /// only the survivors builds: same subject and object query results in
+    /// the same order, same directed/broadcast routing, same snapshot,
+    /// same index sizes.
+    #[test]
+    fn withdraw_in_place_matches_a_store_built_from_survivors() {
+        let users: Vec<Entity> = (0..6)
+            .map(|i| Entity::with_seed(format!("U{i}"), b"wd"))
+            .collect();
+        let doms: Vec<Entity> = (0..3)
+            .map(|i| Entity::with_seed(format!("D{i}"), b"wd"))
+            .collect();
+        let mut all = Vec::new();
+        for i in 0..30 {
+            let (u, d) = (&users[i % users.len()], &doms[i % doms.len()]);
+            let tag = match i % 4 {
+                0 => DiscoveryTag::Both,
+                1 => DiscoveryTag::SearchableFromSubject,
+                2 => DiscoveryTag::SearchableFromObject,
+                _ => DiscoveryTag::None,
+            };
+            let c = DelegationBuilder::new(d)
+                .subject_entity(u)
+                .role(d.role(if i % 2 == 0 { "Member" } else { "Guest" }))
+                .serial(i as u64)
+                .sign();
+            all.push((d.name.clone(), c, tag));
+        }
+        let gone: HashSet<usize> = [0, 3, 4, 7, 12, 13, 21, 29].into();
+        for shards in [1, 4] {
+            let repo = Repository::with_shard_count(shards);
+            let survivors = Repository::with_shard_count(shards);
+            for (i, (home, c, tag)) in all.iter().enumerate() {
+                repo.publish(home.clone(), c.clone(), *tag);
+                if !gone.contains(&i) {
+                    survivors.publish(home.clone(), c.clone(), *tag);
+                }
+            }
+            let withdrawn = gone
+                .iter()
+                .map(|&i| (&all[i].1.body.subject, all[i].1.credential_id()));
+            assert_eq!(repo.withdraw(withdrawn), gone.len());
+            assert_eq!(repo.len(), survivors.len());
+            let ids = |v: Vec<Arc<SignedDelegation>>| -> Vec<String> {
+                v.iter().map(|c| c.id()).collect()
+            };
+            for u in &users {
+                repo.reset_stats();
+                survivors.reset_stats();
+                assert_eq!(
+                    ids(repo.query_by_subject(&u.as_subject())),
+                    ids(survivors.query_by_subject(&u.as_subject())),
+                    "{} shard(s), subject {}",
+                    shards,
+                    u.name
+                );
+                assert_eq!(repo.stats(), survivors.stats(), "routing for {}", u.name);
+            }
+            for d in &doms {
+                for role in ["Member", "Guest"] {
+                    repo.reset_stats();
+                    survivors.reset_stats();
+                    assert_eq!(
+                        ids(repo.query_by_object(&d.role(role))),
+                        ids(survivors.query_by_object(&d.role(role)))
+                    );
+                    assert_eq!(repo.stats(), survivors.stats());
+                }
+            }
+            let snap = |r: &Repository| -> Vec<(String, u8, String)> {
+                r.snapshot_entries()
+                    .iter()
+                    .map(|(h, t, c)| (h.0.clone(), t.to_byte(), c.id()))
+                    .collect()
+            };
+            assert_eq!(snap(&repo), snap(&survivors));
+            let shape = |r: &Repository| -> Vec<(usize, usize, usize, usize)> {
+                r.shard_infos()
+                    .iter()
+                    .map(|s| (s.entries, s.subject_keys, s.object_keys, s.tag_keys))
+                    .collect()
+            };
+            assert_eq!(shape(&repo), shape(&survivors));
+            // Withdrawing again finds nothing and moves no mark.
+            let marks = repo.shard_marks();
+            let again = gone
+                .iter()
+                .map(|&i| (&all[i].1.body.subject, all[i].1.credential_id()));
+            assert_eq!(repo.withdraw(again), 0);
+            assert_eq!(repo.shard_marks(), marks);
+        }
+    }
+
+    #[test]
+    fn withdraw_moves_only_touched_marks_and_notifies_per_shard() {
+        let repo = Repository::with_shard_count(16);
+        let ny = Entity::with_seed("Comp.NY", b"wd");
+        let alice = Entity::with_seed("Alice", b"wd");
+        let c = cred(&ny, &alice, "Member");
+        repo.publish_at_issuer(c.clone());
+        repo.publish_at_issuer(cred(&ny, &alice, "Guest"));
+        let other = (0..64)
+            .map(|i| Entity::with_seed(format!("Probe{i}"), b"wd"))
+            .find(|e| {
+                repo.shard_index(&subject_key(&e.as_subject()))
+                    != repo.shard_index(&subject_key(&alice.as_subject()))
+            })
+            .unwrap();
+        repo.publish_at_issuer(cred(&ny, &other, "Member"));
+        let seen = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let sink = seen.clone();
+        repo.set_observer(Some(Arc::new(move |ev: RepoEvent<'_>| {
+            if let RepoEvent::Withdrawn { shard, ids } = ev {
+                sink.lock().push((shard, ids.to_vec()));
+            }
+        })));
+        let before = repo.shard_marks().unwrap();
+        let version = repo.version().unwrap();
+        assert_eq!(repo.withdraw([(&c.body.subject, c.credential_id())]), 1);
+        let after = repo.shard_marks().unwrap();
+        let alice_shard = repo.shard_index(&subject_key(&alice.as_subject()));
+        for (i, (b, a)) in before.iter().zip(&after).enumerate() {
+            if i == alice_shard {
+                assert!(a > b, "the withdrawn-from shard's mark moves");
+            } else {
+                assert_eq!(a, b, "shard {i} untouched");
+            }
+        }
+        assert!(repo.version().unwrap() > version);
+        assert_eq!(*seen.lock(), vec![(alice_shard, vec![c.credential_id()])]);
+        assert_eq!(repo.query_by_subject(&alice.as_subject()).len(), 1);
+        assert_eq!(repo.len(), 2);
     }
 }

@@ -35,7 +35,9 @@
 //! (`u32`-prefixed credential id), `3` **PurgeExpired** (`u64` purge
 //! time), `4` **RevokeBatch** (`u32` count, then that many
 //! `u32`-prefixed credential ids — one frame for an entire
-//! [`RevocationBus::revoke_all`] epoch). The epoch tag is the
+//! [`RevocationBus::revoke_all`] epoch), `5` **Withdraw** (`u32` count,
+//! then that many 16-byte credential ids — one [`Repository::withdraw`]
+//! in one shard, logged to that shard's segment). The epoch tag is the
 //! repository's mutation epoch at append
 //! time; recovery raises the rebuilt repository's epoch to the maximum
 //! seen and then bumps it once more, so any negative proof-cache entry
@@ -52,7 +54,10 @@
 //! a crash between snapshot rename and log truncation leaves both
 //! covering the same records, and `(home, credential-id)` dedup makes the
 //! overlap harmless — and out-of-order-revoke tolerant (a `Revoke` for an
-//! id no segment publishes still lands in the bus).
+//! id no segment publishes still lands in the bus). A `Withdraw` removes
+//! its ids from the segment's shard and from the dedup set, so a snapshot
+//! taken after it never holds them, a log replayed over an older snapshot
+//! removes them again, and a later re-publish still applies.
 //!
 //! ## Snapshots & compaction
 //!
@@ -105,6 +110,7 @@ const KIND_PUBLISH: u8 = 1;
 const KIND_REVOKE: u8 = 2;
 const KIND_PURGE: u8 = 3;
 const KIND_REVOKE_BATCH: u8 = 4;
+const KIND_WITHDRAW: u8 = 5;
 
 // ---------------------------------------------------------------------------
 // CRC32 (IEEE, reflected 0xEDB88320) — table built at compile time so the
@@ -177,6 +183,74 @@ pub enum WalOp {
         /// The revoked credential ids.
         ids: Vec<String>,
     },
+    /// Credentials withdrawn from one shard by [`Repository::withdraw`].
+    Withdraw {
+        /// The withdrawn credential ids.
+        ids: Vec<CredentialId>,
+    },
+}
+
+/// Why a log record's payload failed to decode.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RecordError {
+    /// The payload ended inside a field.
+    Truncated,
+    /// A declared element count needs more bytes than the payload has
+    /// left; rejected before anything is allocated for it.
+    Oversized {
+        /// Bytes the declared count needs at minimum.
+        declared: u64,
+        /// Bytes left in the payload.
+        available: u64,
+    },
+    /// The kind byte names no record kind.
+    UnknownKind(u8),
+    /// A field is present but malformed.
+    Malformed(String),
+    /// Bytes are left after the record's last field.
+    TrailingBytes,
+}
+
+impl std::fmt::Display for RecordError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RecordError::Truncated => write!(f, "truncated record payload"),
+            RecordError::Oversized {
+                declared,
+                available,
+            } => write!(
+                f,
+                "declared count needs {declared} byte(s), {available} left"
+            ),
+            RecordError::UnknownKind(k) => write!(f, "unknown record kind {k}"),
+            RecordError::Malformed(m) => f.write_str(m),
+            RecordError::TrailingBytes => write!(f, "trailing bytes in record payload"),
+        }
+    }
+}
+
+impl From<crate::DrbacError> for RecordError {
+    fn from(e: crate::DrbacError) -> RecordError {
+        RecordError::Malformed(e.to_string())
+    }
+}
+
+/// Read a `u32` element count and check that `count × min_size` bytes
+/// are left before anything is allocated for the elements.
+fn read_count(r: &mut Reader<'_>, min_size: u64) -> Result<usize, RecordError> {
+    if r.remaining() < 4 {
+        return Err(RecordError::Truncated);
+    }
+    let count = r.u32()?;
+    let declared = u64::from(count) * min_size;
+    let available = r.remaining() as u64;
+    if declared > available {
+        return Err(RecordError::Oversized {
+            declared,
+            available,
+        });
+    }
+    Ok(count as usize)
 }
 
 /// One valid record found by [`scan_log`].
@@ -249,6 +323,13 @@ fn encode_payload(epoch: u64, op: &WalOp) -> Vec<u8> {
                 put_str(&mut out, id);
             }
         }
+        WalOp::Withdraw { ids } => {
+            out.push(KIND_WITHDRAW);
+            out.extend_from_slice(&(ids.len() as u32).to_le_bytes());
+            for id in ids {
+                out.extend_from_slice(id.as_str().as_bytes());
+            }
+        }
     }
     out
 }
@@ -260,43 +341,57 @@ fn put_frame(out: &mut Vec<u8>, payload: &[u8]) {
     out.extend_from_slice(payload);
 }
 
-fn decode_payload(payload: &[u8]) -> Result<(u64, WalOp), String> {
+/// Decode one record payload (`[u64 epoch][u8 kind][body]`, the bytes a
+/// frame's CRC covers) into its epoch tag and operation.
+pub(crate) fn decode_record(payload: &[u8]) -> Result<(u64, WalOp), RecordError> {
     let mut r = Reader::new(payload);
-    let epoch = r.u64().map_err(|e| e.to_string())?;
-    let kind = r.u8().map_err(|e| e.to_string())?;
+    if r.remaining() < 9 {
+        return Err(RecordError::Truncated);
+    }
+    let epoch = r.u64()?;
+    let kind = r.u8()?;
     let op = match kind {
         KIND_PUBLISH => {
-            let home = r.string().map_err(|e| e.to_string())?;
-            let tag = DiscoveryTag::from_byte(r.u8().map_err(|e| e.to_string())?)
-                .ok_or_else(|| "bad discovery tag".to_string())?;
-            let cred = SignedDelegation::from_wire(&mut r).map_err(|e| e.to_string())?;
+            let home = r.string()?;
+            let tag = DiscoveryTag::from_byte(r.u8()?)
+                .ok_or_else(|| RecordError::Malformed("bad discovery tag".into()))?;
+            let cred = SignedDelegation::from_wire(&mut r)?;
             WalOp::Publish {
                 home: EntityName(home),
                 tag,
                 cred,
             }
         }
-        KIND_REVOKE => WalOp::Revoke {
-            id: r.string().map_err(|e| e.to_string())?,
-        },
-        KIND_PURGE => WalOp::PurgeExpired {
-            now: r.u64().map_err(|e| e.to_string())?,
-        },
+        KIND_REVOKE => WalOp::Revoke { id: r.string()? },
+        KIND_PURGE => WalOp::PurgeExpired { now: r.u64()? },
         KIND_REVOKE_BATCH => {
-            let n = r.u32().map_err(|e| e.to_string())? as usize;
+            // Each id carries at least its u32 length prefix.
+            let n = read_count(&mut r, 4)?;
             if n > 1 << 20 {
-                return Err("implausible revoke-batch count".into());
+                return Err(RecordError::Malformed(
+                    "implausible revoke-batch count".into(),
+                ));
             }
             let mut ids = Vec::with_capacity(n);
             for _ in 0..n {
-                ids.push(r.string().map_err(|e| e.to_string())?);
+                ids.push(r.string()?);
             }
             WalOp::RevokeBatch { ids }
         }
-        k => return Err(format!("unknown record kind {k}")),
+        KIND_WITHDRAW => {
+            let n = read_count(&mut r, 16)?;
+            let mut ids = Vec::with_capacity(n);
+            for _ in 0..n {
+                let id = CredentialId::from_digits(r.bytes::<16>()?)
+                    .ok_or_else(|| RecordError::Malformed("bad credential id".into()))?;
+                ids.push(id);
+            }
+            WalOp::Withdraw { ids }
+        }
+        k => return Err(RecordError::UnknownKind(k)),
     };
     if !r.finished() {
-        return Err("trailing bytes in record payload".into());
+        return Err(RecordError::TrailingBytes);
     }
     Ok((epoch, op))
 }
@@ -330,7 +425,7 @@ pub fn scan_log(buf: &[u8]) -> LogScan {
             corruption = Some(format!("checksum mismatch at offset {pos}"));
             break;
         }
-        match decode_payload(payload) {
+        match decode_record(payload) {
             Ok((epoch, op)) => records.push(ScannedRecord {
                 offset: pos as u64,
                 epoch,
@@ -514,6 +609,8 @@ pub struct RecoveryReport {
     pub revocations_restored: usize,
     /// PurgeExpired records re-applied.
     pub purges: usize,
+    /// Withdraw records re-applied.
+    pub withdrawals: usize,
     /// Publish records skipped because the same `(home, credential-id)`
     /// was already present (snapshot/log overlap after a crash between
     /// snapshot rename and log truncation).
@@ -577,6 +674,7 @@ impl RecoveryReport {
         self.publishes += seg.publishes;
         self.revocations_restored += seg.revocations_restored;
         self.purges += seg.purges;
+        self.withdrawals += seg.withdrawals;
         self.duplicates_skipped += seg.duplicates_skipped;
         self.truncated_bytes += seg.truncated_bytes;
         self.log_bytes += seg.log_bytes;
@@ -783,21 +881,23 @@ pub fn verify_sharded_dir(dir: &Path) -> std::io::Result<ShardedVerifyReport> {
 /// record goes where its kind belongs, whichever segment holds it:
 /// publishes route to their home shard by subject hash (same FNV, same
 /// count — guaranteed by `shards.meta`), revocations to the bus, and
-/// purges to `purge_shards`, the shards this segment logs for. A purge is
-/// replicated to every shard segment and applied shard-locally, so it
-/// re-applies exactly once per shard regardless of replay interleaving.
-/// The returned report's `epoch` is the highest epoch tag seen.
+/// purges and withdrawals to `own_shards`, the shards this segment logs
+/// for. A purge is replicated to every shard segment and applied
+/// shard-locally, so it re-applies exactly once per shard regardless of
+/// replay interleaving; a withdrawal is logged to its shard's segment
+/// only, after the publishes it undoes. The returned report's `epoch` is
+/// the highest epoch tag seen.
 fn replay_segment(
     seg_dir: &Path,
-    purge_shards: std::ops::Range<usize>,
+    own_shards: std::ops::Range<usize>,
     repo: &Repository,
     bus: &RevocationBus,
 ) -> std::io::Result<RecoveryReport> {
     let mut out = RecoveryReport::default();
     // (home, credential-id) → expiry, for every pair currently applied —
     // dedup for snapshot/log overlap and replayed double-publishes. A
-    // replayed purge *removes* expired pairs, so a later re-publish of a
-    // purged credential is applied rather than mistaken for a duplicate.
+    // replayed purge or withdrawal *removes* its pairs, so a later
+    // re-publish is applied rather than mistaken for a duplicate.
     let mut seen: HashMap<(String, CredentialId), Option<u64>> = HashMap::new();
     let (snapshot, scan) = read_segment(seg_dir)?;
     match snapshot {
@@ -848,11 +948,18 @@ fn replay_segment(
                 out.revocations_restored += bus.restore(ids.iter().map(|s| s.as_str()));
             }
             WalOp::PurgeExpired { now } => {
-                for shard in purge_shards.clone() {
+                for shard in own_shards.clone() {
                     repo.purge_expired_shard(shard, *now);
                 }
                 out.purges += 1;
                 seen.retain(|_, exp| exp.is_none_or(|e| *now < e));
+            }
+            WalOp::Withdraw { ids } => {
+                for shard in own_shards.clone() {
+                    repo.withdraw_ids_in_shard(shard, ids);
+                }
+                out.withdrawals += 1;
+                seen.retain(|(_, id), _| !ids.contains(id));
             }
         }
     }
@@ -886,8 +993,8 @@ fn replay_sharded(
             s.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
                 let Some(seg_dir) = dirs.get(i) else { break };
-                // Segment i logs purges for shard i; the bus segment
-                // (i == shards) logs for none.
+                // Segment i logs purges and withdrawals for shard i; the
+                // bus segment (i == shards) logs for none.
                 let r = replay_segment(seg_dir, i..(i + 1).min(shards), repo, bus);
                 results.lock()[i] = Some(r);
             });
@@ -1228,7 +1335,9 @@ impl Drop for ShardedWalInner {
 /// durability rides on their observer hooks. Publishes log to their
 /// subject's shard segment only; revocations log to the bus segment (bulk
 /// revokes as one [`WalOp::RevokeBatch`] frame); purges are replicated to
-/// every shard segment and re-applied shard-locally at recovery.
+/// every shard segment and re-applied shard-locally at recovery;
+/// withdrawals log to their shard's segment as one [`WalOp::Withdraw`]
+/// frame per shard.
 #[derive(Clone)]
 pub struct ShardedDurableRepository {
     repo: Repository,
@@ -1304,6 +1413,13 @@ impl ShardedDurableRepository {
                     for (shard, seg) in wal.segments.iter().enumerate() {
                         wal.log(seg, &payload, || wal.compact_shard(&repo, shard));
                     }
+                }
+                RepoEvent::Withdrawn { shard, ids } => {
+                    let op = WalOp::Withdraw { ids: ids.to_vec() };
+                    let payload = encode_payload(repo.epoch(), &op);
+                    wal.log(&wal.segments[shard], &payload, || {
+                        wal.compact_shard(&repo, shard)
+                    });
                 }
             }
         })));
@@ -2067,5 +2183,213 @@ mod tests {
     #[test]
     fn sharded_republished_after_purge_survives_replay() {
         republish_after_purge_survives(4);
+    }
+
+    /// Publish, revoke, then withdraw through `d`: three users, the
+    /// second one's credential revoked and withdrawn. Returns the
+    /// withdrawn credential.
+    fn withdraw_workload(d: &ShardedDurableRepository, ny: &Entity) -> SignedDelegation {
+        let users: Vec<Entity> = (0..3)
+            .map(|i| Entity::with_seed(format!("W{i}"), b"wwal"))
+            .collect();
+        for u in &users {
+            d.repository().publish_at_issuer(cred(ny, u, "Member"));
+        }
+        let gone = cred(ny, &users[1], "Member");
+        let id = gone.credential_id();
+        d.bus().revoke(id.as_str());
+        assert_eq!(d.repository().withdraw([(&gone.body.subject, id)]), 1);
+        gone
+    }
+
+    /// The withdrawn credential is absent, still revoked, and the others
+    /// are still stored.
+    fn assert_withdrawn(d: &ShardedDurableRepository, gone: &SignedDelegation) {
+        assert_eq!(d.repository().len(), 2);
+        assert!(d
+            .repository()
+            .query_by_subject(&gone.body.subject)
+            .is_empty());
+        assert!(d.bus().is_revoked(&gone.id()));
+    }
+
+    #[test]
+    fn withdraw_survives_reopen_and_compaction() {
+        for shards in [1usize, 4] {
+            let dir = tmpdir(&format!("withdraw-{shards}"));
+            let ny = Entity::with_seed("Comp.NY", b"wwal");
+            let gone;
+            {
+                let (d, _) =
+                    ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+                gone = withdraw_workload(&d, &ny);
+                assert_withdrawn(&d, &gone);
+            }
+            let (d, report) =
+                ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+            assert_eq!(report.publishes, 3, "shards={shards}");
+            assert_eq!(report.withdrawals, 1, "shards={shards}");
+            assert_withdrawn(&d, &gone);
+            assert!(verify_sharded_dir(&dir).unwrap().is_clean());
+            // A compacted snapshot never holds the credential, and a
+            // re-publish after the withdrawal survives replay.
+            d.compact().unwrap();
+            drop(d);
+            let (d, report) =
+                ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+            assert_eq!(report.snapshot_entries, 2, "shards={shards}");
+            assert_withdrawn(&d, &gone);
+            d.repository().publish_at_issuer(gone.clone());
+            drop(d);
+            let (d, _) =
+                ShardedDurableRepository::open(&dir, shards, WalConfig::default()).unwrap();
+            assert_eq!(d.repository().len(), 3, "shards={shards}");
+        }
+    }
+
+    #[test]
+    fn withdraw_replayed_over_an_older_snapshot() {
+        let ny = Entity::with_seed("Comp.NY", b"wwal");
+        // The snapshot predates the withdrawal: it holds the credential,
+        // the log removes it.
+        let dir = tmpdir("withdraw-after-snapshot");
+        let gone;
+        {
+            let (d, _) = open_one(&dir);
+            for i in 0..3 {
+                let u = Entity::with_seed(format!("W{i}"), b"wwal");
+                d.repository().publish_at_issuer(cred(&ny, &u, "Member"));
+            }
+            d.compact_shard(0).unwrap();
+            gone = cred(&ny, &Entity::with_seed("W1", b"wwal"), "Member");
+            let id = gone.credential_id();
+            d.bus().revoke(id.as_str());
+            assert_eq!(d.repository().withdraw([(&gone.body.subject, id)]), 1);
+        }
+        let (d, report) = open_one(&dir);
+        assert_eq!(report.snapshot_entries, 3);
+        assert_eq!(report.withdrawals, 1);
+        assert_withdrawn(&d, &gone);
+
+        // A crash between snapshot rename and log truncation: the
+        // snapshot is already without the credential, the surviving log
+        // publishes it again and then withdraws it.
+        let dir = tmpdir("withdraw-overlap");
+        let gone;
+        {
+            let (d, _) = open_one(&dir);
+            gone = withdraw_workload(&d, &ny);
+            d.sync().unwrap();
+            let log = std::fs::read(shard_log(&dir, 0)).unwrap();
+            d.compact_shard(0).unwrap();
+            d.detach();
+            std::fs::write(shard_log(&dir, 0), log).unwrap();
+        }
+        let (d, report) = open_one(&dir);
+        assert_eq!(report.snapshot_entries, 2);
+        assert_eq!(report.duplicates_skipped, 2);
+        assert_eq!(report.publishes, 1);
+        assert_eq!(report.withdrawals, 1);
+        assert_withdrawn(&d, &gone);
+    }
+
+    #[test]
+    fn torn_withdraw_record_keeps_committed_prefix() {
+        let dir = tmpdir("withdraw-torn");
+        let ny = Entity::with_seed("Comp.NY", b"wwal");
+        {
+            let (d, _) = open_one(&dir);
+            withdraw_workload(&d, &ny);
+        }
+        let log = shard_log(&dir, 0);
+        let image = std::fs::read(&log).unwrap();
+        let scan = scan_log(&image);
+        assert_eq!(scan.records.len(), 4);
+        let last = scan.records.last().unwrap();
+        assert!(matches!(&last.op, WalOp::Withdraw { ids } if ids.len() == 1));
+        // Cut the withdraw record anywhere inside it.
+        for cut in [last.offset as usize + 3, image.len() - 1] {
+            std::fs::write(&log, &image[..cut]).unwrap();
+            // Three publishes survive in the shard log, the revocation
+            // in the bus log.
+            let (repo, bus, report) = Repository::recover_sharded(&dir).unwrap();
+            assert_eq!(report.records_replayed, 4, "cut at {cut}");
+            assert_eq!(report.withdrawals, 0, "cut at {cut}");
+            assert_eq!(repo.len(), 3, "cut at {cut}: the publishes survive");
+            assert_eq!(bus.revoked_count(), 1, "cut at {cut}");
+            assert!(!verify_sharded_dir(&dir).unwrap().is_clean());
+        }
+        let (d, report) = open_one(&dir);
+        assert_eq!(report.records_replayed, 4);
+        assert_eq!(d.repository().len(), 3);
+        assert!(verify_sharded_dir(&dir).unwrap().is_clean());
+    }
+
+    #[test]
+    fn malformed_withdraw_payloads_fail_typed() {
+        let id = cred(
+            &Entity::with_seed("Comp.NY", b"wwal"),
+            &Entity::with_seed("W0", b"wwal"),
+            "Member",
+        )
+        .credential_id();
+        let good = encode_payload(9, &WalOp::Withdraw { ids: vec![id, id] });
+        assert!(matches!(
+            decode_record(&good),
+            Ok((9, WalOp::Withdraw { ids })) if ids == vec![id, id]
+        ));
+        // Every truncation is a typed error, never a panic.
+        for cut in 0..good.len() {
+            let err = decode_record(&good[..cut]).unwrap_err();
+            assert!(
+                matches!(err, RecordError::Truncated | RecordError::Oversized { .. }),
+                "cut at {cut}: {err}"
+            );
+        }
+        // A huge declared count is refused before anything is allocated
+        // for it: with_capacity(u32::MAX) ids would abort the process.
+        let mut huge = good[..9].to_vec();
+        huge.extend_from_slice(&u32::MAX.to_le_bytes());
+        huge.extend_from_slice(id.as_str().as_bytes());
+        assert_eq!(
+            decode_record(&huge).unwrap_err(),
+            RecordError::Oversized {
+                declared: u64::from(u32::MAX) * 16,
+                available: 16,
+            }
+        );
+        // The same bound holds for revoke batches.
+        let mut batch = encode_payload(9, &WalOp::RevokeBatch { ids: vec![] });
+        batch[9..13].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(matches!(
+            decode_record(&batch).unwrap_err(),
+            RecordError::Oversized { .. }
+        ));
+        // Ids must be lowercase hex; unknown kinds and trailing bytes fail.
+        let mut bad_id = good.clone();
+        bad_id[13] = b'Z';
+        assert!(matches!(
+            decode_record(&bad_id).unwrap_err(),
+            RecordError::Malformed(_)
+        ));
+        let mut unknown = good.clone();
+        unknown[8] = 0xee;
+        assert_eq!(
+            decode_record(&unknown).unwrap_err(),
+            RecordError::UnknownKind(0xee)
+        );
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert_eq!(
+            decode_record(&trailing).unwrap_err(),
+            RecordError::TrailingBytes
+        );
+        // Framed in a log, a malformed record stops the scan cleanly.
+        let mut log = Vec::new();
+        put_frame(&mut log, &good);
+        put_frame(&mut log, &huge);
+        let scan = scan_log(&log);
+        assert_eq!(scan.records.len(), 1);
+        assert!(scan.corruption.unwrap().contains("undecodable"));
     }
 }

@@ -70,6 +70,11 @@ impl<'a> Reader<'a> {
         Ok(self.take(N)?.try_into().unwrap())
     }
 
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Whether all input was consumed.
     pub fn finished(&self) -> bool {
         self.pos == self.buf.len()

@@ -382,8 +382,7 @@ impl MailWorld {
             registry.clone(),
             repository.clone(),
             bus.clone(),
-            sites.network.clone(),
-            clock.now(),
+            clock.clone(),
         );
         for (&node, pc) in &node_identities {
             oracle.set_node_subject(node, pc.as_subject());

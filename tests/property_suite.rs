@@ -382,28 +382,37 @@ proptest! {
 
     /// The authorization cache must be semantically invisible. Over a
     /// random delegation world and a random interleaving of proof
-    /// queries, revocations, clock advances, and repository publishes,
-    /// an engine sharing one `AuthCache` must return byte-identical
-    /// proofs — and identical errors — to a fresh uncached engine at
-    /// every step.
+    /// queries, revocations, clock advances, repository publishes and
+    /// withdrawals, registry (re-)registrations, and queries through a
+    /// presented set, an engine sharing one `AuthCache` must return
+    /// byte-identical proofs — and identical errors — to a fresh uncached
+    /// engine at every step.
     #[test]
     fn cached_prove_is_indistinguishable_from_uncached(
         seed in 0u64..500,
         chain_len in 1usize..5,
         decoys in 0usize..6,
         membership_expiry in proptest::option::of(1u64..30),
-        schedule in prop::collection::vec((0u8..4, 0u64..16), 1..24),
+        schedule in prop::collection::vec((0u8..9, 0u64..16), 1..24),
     ) {
+        use psf_drbac::PresentedSet;
+
         let registry = EntityRegistry::new();
         let repo = Repository::new();
         let bus = RevocationBus::new();
         let user = Entity::with_seed(format!("user{seed}"), b"cachew");
         registry.register(&user);
 
+        // In some worlds the top issuer is missing until a schedule step
+        // registers it: every proof fails with it unresolved, and the
+        // cached failure must lift once it resolves.
+        let late_issuer = seed % 4 == 0;
         let mut domains = Vec::new();
         for i in 0..chain_len {
             let d = Entity::with_seed(format!("d{seed}-{i}"), b"cachew");
-            registry.register(&d);
+            if !(late_issuer && i == 0) {
+                registry.register(&d);
+            }
             domains.push(d);
         }
         let mut chain: Vec<SignedDelegation> = Vec::new();
@@ -441,6 +450,8 @@ proptest! {
         let mut now = 0u64;
         let mut extra = 0usize;
         for (op, arg) in schedule {
+            let mut expect_hit = false;
+            let mut presented: Option<(PresentedSet, usize)> = None;
             match op {
                 // Advance the logical clock (possibly past an expiry).
                 0 => now += arg % 16,
@@ -465,11 +476,66 @@ proptest! {
                             .sign(),
                     );
                 }
+                // Register an unrelated name without publishing anything:
+                // a cached proof whose names all resolved must still hit.
+                4 => {
+                    let warm = ProofEngine::with_cache(&registry, &repo, &bus, now, &cache);
+                    expect_hit = warm.prove(&subject, &target, &[]).is_ok();
+                    let d = Entity::with_seed(format!("extra{seed}-{extra}"), b"cachew");
+                    extra += 1;
+                    registry.register(&d);
+                }
+                // Re-register a chain issuer under a new key (odd args
+                // restore its own key).
+                5 => {
+                    let d = &domains[(arg as usize) % chain_len];
+                    let key = if arg % 2 == 0 {
+                        Entity::with_seed(d.name.0.clone(), b"rekeyed").public_key()
+                    } else {
+                        d.public_key()
+                    };
+                    registry.register_key(d.name.clone(), key);
+                }
+                // Register the late top issuer under its own key.
+                6 if registry.lookup(&domains[0].name).is_none() => {
+                    registry.register(&domains[0]);
+                }
+                // Revoke a chain credential and withdraw it from the
+                // repository, as deployment teardown does.
+                7 => {
+                    let c = &chain[(arg as usize) % chain.len()];
+                    let id = c.credential_id();
+                    bus.revoke(id.as_str());
+                    repo.withdraw([(&c.body.subject, id)]);
+                }
+                // Present part of the chain, hashed once into a set.
+                8 => {
+                    let k = (arg as usize) % (chain.len() + 1);
+                    presented = Some((PresentedSet::new(chain[..k].iter().cloned()), k));
+                }
                 // Plain query step (drives cache hits).
                 _ => {}
             }
             let cached = ProofEngine::with_cache(&registry, &repo, &bus, now, &cache);
             let plain = ProofEngine::new(&registry, &repo, &bus, now);
+            if let Some((set, k)) = &presented {
+                match (
+                    cached.prove_presented(&subject, &target, set),
+                    plain.prove(&subject, &target, &chain[..*k]),
+                ) {
+                    (Ok((pc, _)), Ok((pp, _))) => {
+                        prop_assert_eq!(format!("{pc:?}"), format!("{pp:?}"));
+                    }
+                    (Err(ec), Err(ep)) => prop_assert_eq!(ec.error, ep.error),
+                    (c, p) => prop_assert!(
+                        false,
+                        "presented set diverged: cached ok={} plain ok={}",
+                        c.is_ok(),
+                        p.is_ok()
+                    ),
+                }
+            }
+            let hits = cache.stats().proof_hits;
             match (
                 cached.prove(&subject, &target, &[]),
                 plain.prove(&subject, &target, &[]),
@@ -485,6 +551,13 @@ proptest! {
                     c.is_ok(),
                     p.is_ok()
                 ),
+            }
+            if expect_hit {
+                prop_assert_eq!(
+                    cache.stats().proof_hits,
+                    hits + 1,
+                    "registering an unrelated name evicted a resolved proof"
+                );
             }
         }
         // The schedule must have produced at least one hit for the
@@ -757,6 +830,9 @@ enum ShardStep {
     },
     /// Revoke one of the previously issued credentials (modulo-indexed).
     Revoke { pick: usize },
+    /// Revoke one of the previously issued credentials and withdraw it
+    /// from the repository, as deployment teardown does.
+    Withdraw { pick: usize },
     /// Purge everything expired as of logical second `now`.
     Purge { now: u64 },
     /// Directed tag lookup for one user's subject key.
@@ -791,6 +867,7 @@ fn arb_shard_step() -> impl Strategy<Value = ShardStep> {
                 tag,
             }),
         (0usize..32).prop_map(|pick| ShardStep::Revoke { pick }),
+        (0usize..32).prop_map(|pick| ShardStep::Withdraw { pick }),
         (1u64..64).prop_map(|now| ShardStep::Purge { now }),
         (0usize..16).prop_map(|user| ShardStep::TagLookup { user }),
     ]
@@ -833,7 +910,7 @@ proptest! {
         let oracle = Repository::with_shard_count(1);
         let sharded_bus = RevocationBus::new();
         let oracle_bus = RevocationBus::new();
-        let mut issued: Vec<String> = Vec::new();
+        let mut issued: Vec<SignedDelegation> = Vec::new();
         let mut serial = 0u64;
 
         let ids = |creds: Vec<std::sync::Arc<SignedDelegation>>| {
@@ -855,15 +932,28 @@ proptest! {
                         b = b.expires(*e);
                     }
                     let cred = b.sign();
-                    issued.push(cred.id());
+                    issued.push(cred.clone());
                     sharded.publish(dom.name.clone(), cred.clone(), tag_of(*tag));
                     oracle.publish(dom.name.clone(), cred, tag_of(*tag));
                 }
                 ShardStep::Revoke { pick } => {
                     if !issued.is_empty() {
-                        let id = &issued[pick % issued.len()];
-                        sharded_bus.revoke(id);
-                        oracle_bus.revoke(id);
+                        let id = issued[pick % issued.len()].id();
+                        sharded_bus.revoke(&id);
+                        oracle_bus.revoke(&id);
+                    }
+                }
+                ShardStep::Withdraw { pick } => {
+                    if !issued.is_empty() {
+                        let cred = &issued[pick % issued.len()];
+                        let id = cred.credential_id();
+                        sharded_bus.revoke(id.as_str());
+                        oracle_bus.revoke(id.as_str());
+                        prop_assert_eq!(
+                            sharded.withdraw([(&cred.body.subject, id)]),
+                            oracle.withdraw([(&cred.body.subject, id)]),
+                            "withdraw count divergence for {}", id
+                        );
                     }
                 }
                 ShardStep::Purge { now } => {
@@ -954,7 +1044,7 @@ proptest! {
             .collect();
 
         // --- Run the workload against the sharded durable repository. ---
-        let mut issued: Vec<String> = Vec::new();
+        let mut issued: Vec<SignedDelegation> = Vec::new();
         let mut serial = 0u64;
         {
             let (d, _) = ShardedDurableRepository::open(
@@ -975,12 +1065,20 @@ proptest! {
                             b = b.expires(*e);
                         }
                         let cred = b.sign();
-                        issued.push(cred.id());
+                        issued.push(cred.clone());
                         d.repository().publish(dom.name.clone(), cred, tag_of(*tag));
                     }
                     ShardStep::Revoke { pick } => {
                         if !issued.is_empty() {
-                            d.bus().revoke(&issued[pick % issued.len()]);
+                            d.bus().revoke(&issued[pick % issued.len()].id());
+                        }
+                    }
+                    ShardStep::Withdraw { pick } => {
+                        if !issued.is_empty() {
+                            let cred = &issued[pick % issued.len()];
+                            let id = cred.credential_id();
+                            d.bus().revoke(id.as_str());
+                            d.repository().withdraw([(&cred.body.subject, id)]);
                         }
                     }
                     ShardStep::Purge { now } => {
@@ -1038,6 +1136,9 @@ proptest! {
                     }
                     wal::WalOp::PurgeExpired { now } => {
                         local.purge_expired(*now);
+                    }
+                    wal::WalOp::Withdraw { ids } => {
+                        local.withdraw_ids(ids);
                     }
                     wal::WalOp::Revoke { .. } | wal::WalOp::RevokeBatch { .. } => {
                         panic!("revocations belong to the bus segment")
